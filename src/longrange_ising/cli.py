@@ -219,7 +219,7 @@ def _point_enumerate(args):
     dim, _, _, coupling, field, bc = _model_pieces(cfg)
     vol = model.Volume(dim, L)
     params = model.ModelParams(beta, coupling, field)
-    logZ = exact.enumerate_partition(vol, params, bc)
+    logZ = model.log_partition(vol, params, bc)
     m0 = exact.expectation(vol, params, bc, exact.spin_observable(
         vol, 0 if dim == 1 else (0, 0)))
     return {"L": L, "beta": beta, "log_Z": logZ, "Z": float(np.exp(logZ)),

@@ -248,6 +248,38 @@ def interface_point(vol: model.Volume, config, bc: model.BoundaryCondition = Non
     return _select_interface(vol, cfg, _ascending_candidates(vol, cfg, bc))
 
 
+def interface_points(vol: model.Volume, S, bc: model.BoundaryCondition = None) -> np.ndarray:
+    """interface_point of every row of S (k, n_sites), vectorized.
+
+    Dual point j - L - 1/2 (j = 0..n) has minority count plus(S[:, :j]) +
+    minus(S[:, j:]), read from prefix counts; the candidates, the key
+    (count, |point|) and the center-spin tie-break are those of
+    interface_point, which is the reference.
+    """
+    bc = bc or model.dobrushin1d_bc()
+    if vol.dimension != 1 or not _is_dobrushin(vol, bc):
+        raise ValueError("interface point needs minus-left/plus-right boundaries")
+    S = np.asarray(S, dtype=np.int8)
+    if S.ndim != 2 or S.shape[1] != vol.n_sites:
+        raise ValueError(f"configurations need {vol.n_sites} spins per row")
+    k, n = S.shape
+    L = vol.half_width
+    plus_left = np.zeros((k, n + 1), dtype=np.int16)
+    np.cumsum(S == 1, axis=1, dtype=np.int16, out=plus_left[:, 1:])
+    # minus to the right of j = (n - j) - plus to the right of j
+    count = plus_left + (n - np.arange(n + 1, dtype=np.int16)) \
+        - (plus_left[:, -1:] - plus_left)
+    edge = np.ones((k, 1), dtype=np.int8)
+    ascending = (np.hstack([-edge, S]) == -1) & (np.hstack([S, edge]) == 1)
+    twice_abs = np.abs(2 * np.arange(n + 1, dtype=np.int16) - (2 * L + 1))
+    key = np.where(ascending, count * (n + 1) + twice_abs, (n + 1) ** 2)
+    best = key == key.min(axis=1, keepdims=True)      # one point, or a +-p pair
+    first = np.argmax(best, axis=1)
+    last = n - np.argmax(best[:, ::-1], axis=1)
+    j = np.where(S[:, L] == -1, last, first)
+    return j - (L + 0.5)
+
+
 def triangles(vol: model.Volume, config, bc: model.BoundaryCondition) -> TriangleFamily:
     """Unique triangle family of a configuration (deterministic)."""
     cfg = model.as_configuration(vol, config)

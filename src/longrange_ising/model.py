@@ -18,12 +18,15 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .util import CapacityError, ENUMERATION_SITE_CAP, iter_spin_blocks, logsumexp
+from .util import CapacityError, ENUMERATION_SITE_CAP, iter_spin_blocks
 
 Site = Union[int, tuple]
 
 #: Partial-sum length before switching to the Euler-Maclaurin closed tail.
 EM_CROSSOVER = 10_000
+
+#: Bytes of one streamed tile of the split enumeration (see _split_sums).
+TILE_BYTES = 16 << 20
 
 #: Largest volume for which a dense coupling matrix is materialized.
 MATRIX_SITE_CAP = 4096
@@ -727,11 +730,23 @@ def boundary_field(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition, x: Si
 
 
 @lru_cache(maxsize=256)
-def boundary_field_vector(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
-                          em_crossover: int = EM_CROSSOVER) -> np.ndarray:
+def _field_vector(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
+                  em_crossover: int) -> np.ndarray:
     h = np.array([boundary_field(vol, spec, bc, x, em_crossover) for x in vol.sites()])
     h.setflags(write=False)
     return h
+
+
+def boundary_field_vector(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
+                          em_crossover: int = EM_CROSSOVER) -> np.ndarray:
+    """Read-only h_x over all sites, cached under one key per argument set
+    however the call spells it (lru_cache alone keys positional, keyword and
+    defaulted spellings apart)."""
+    return _field_vector(vol, spec, bc, em_crossover)
+
+
+boundary_field_vector.cache_info = _field_vector.cache_info
+boundary_field_vector.cache_clear = _field_vector.cache_clear
 
 
 # ---------------------------------------------------------------------------
@@ -804,20 +819,107 @@ def energy_delta(vol: Volume, params: ModelParams, bc: BoundaryCondition,
     return 2.0 * float(s[i]) * local
 
 
+@dataclass(frozen=True)
+class SplitSums:
+    """Boltzmann sums of one split enumeration, all but log Z normalized by Z."""
+
+    log_z: float
+    mean: np.ndarray            # <s_i>
+    second: np.ndarray = None   # <s_i s_j>, when requested
+    folded: np.ndarray = None   # sum of fold(S, w) / Z, when a fold is given
+
+
+def _half_table(J: np.ndarray, c: np.ndarray, beta: float, S: np.ndarray) -> tuple:
+    """Spin rows of one half as floats, with their within-half log weights."""
+    Sf = S.astype(np.float64)
+    return Sf, beta * (0.5 * np.einsum("ki,ki->k", Sf @ J, Sf) + Sf @ c)
+
+
+def _split_sums(J: np.ndarray, c: np.ndarray, beta: float, second: bool = False,
+                fold=None) -> SplitSums:
+    """Sums over all 2**n spin vectors of w(s) = exp(beta * (s.J.s / 2 + c.s)),
+    J symmetric.
+
+    Horowitz-Sahni split: the first ceil(n/2) sites form half A and the rest
+    half B, so log w(a, b) = log w_A(a) + log w_B(b) + beta * b.J_BA.a.  A is
+    enumerated once into a table; B streams in chunks whose log weights
+    against every A row form one GEMM tile (about TILE_BYTES), folded into
+    sums kept relative to the running maximum.  Memory is O(2**(n/2)) plus
+    one tile, whatever 2**n is.
+
+    `fold(S, w)`, when given, receives each tile's full configurations S
+    (k, n) in enumeration order (bit b of the index is site b, as in
+    iter_spin_blocks) and their weights w relative to the running maximum,
+    and returns an array; the sum of those arrays over all tiles, divided by
+    Z, is `folded`.
+    """
+    n = c.size
+    nA = (n + 1) // 2
+    SA8 = np.concatenate([S for _, S in iter_spin_blocks(nA)])
+    SA, lwA = _half_table(J[:nA, :nA], c[:nA], beta, SA8)
+    J_BA = beta * J[nA:, :nA]
+    cols = SA.shape[0]
+    per_config = 8 if fold is None else 8 * (n + 1)
+    rows = min(max(1, TILE_BYTES // (per_config * cols)), 1 << (n - nA))
+    tile = np.empty((rows, cols))
+
+    top = -np.inf                       # running maximum of the log weights
+    z = 0.0
+    col_w = np.zeros(cols)              # weight of each A row, summed over B
+    sum_B = np.zeros(n - nA)
+    Q_BB = np.zeros((n - nA, n - nA)) if second else None
+    Q_BA = np.zeros((n - nA, nA)) if second else None
+    folded = 0.0
+    for _, SB8 in iter_spin_blocks(n - nA, rows):
+        SB, lwB = _half_table(J[nA:, nA:], c[nA:], beta, SB8)
+        T = np.matmul(SB @ J_BA, SA.T, out=tile[:SB.shape[0]])
+        T += lwA
+        T += lwB[:, None]
+        tile_top = float(T.max())
+        if tile_top > top:
+            scale = math.exp(top - tile_top)
+            z, col_w, sum_B, folded = z * scale, col_w * scale, sum_B * scale, folded * scale
+            if second:
+                Q_BB *= scale
+                Q_BA *= scale
+            top = tile_top
+        np.subtract(T, top, out=T)
+        np.exp(T, out=T)
+        row_w = T.sum(axis=1)
+        z += float(row_w.sum())
+        col_w += T.sum(axis=0)
+        sum_B += row_w @ SB
+        if second:
+            Q_BB += (SB.T * row_w) @ SB
+            Q_BA += SB.T @ (T @ SA)
+        if fold is not None:
+            S = np.empty((SB8.shape[0], cols, n), dtype=np.int8)
+            S[:, :, :nA] = SA8
+            S[:, :, nA:] = SB8[:, None, :]
+            folded = folded + fold(S.reshape(T.size, n), T.ravel())
+
+    mean = np.concatenate([col_w @ SA, sum_B]) / z
+    pairs = None
+    if second:
+        pairs = np.empty((n, n))
+        pairs[:nA, :nA] = (SA.T * col_w) @ SA
+        pairs[nA:, nA:] = Q_BB
+        pairs[nA:, :nA] = Q_BA
+        pairs[:nA, nA:] = Q_BA.T
+        pairs /= z
+    return SplitSums(top + math.log(z), mean, pairs,
+                     None if fold is None else np.asarray(folded) / z)
+
+
 @lru_cache(maxsize=256)
 def log_partition(vol: Volume, params: ModelParams, bc: BoundaryCondition) -> float:
-    """log Z over all configurations (log-sum-exp, blockwise)."""
+    """log Z over all configurations (split enumeration, see _split_sums)."""
     n = vol.n_sites
     if n > ENUMERATION_SITE_CAP:
         raise CapacityError(f"{n} sites exceed the enumeration cap")
     J = coupling_matrix(vol, params.coupling)
     fields = boundary_field_vector(vol, params.coupling, bc) + external_field_vector(vol, params)
-    parts = []
-    for _, S in iter_spin_blocks(n):
-        Sf = S.astype(np.float64)
-        E = -0.5 * np.einsum("bi,bi->b", Sf @ J, Sf) - Sf @ fields
-        parts.append(logsumexp(-params.beta * E))
-    return float(logsumexp(np.array(parts)))
+    return float(_split_sums(J, fields, params.beta).log_z)
 
 
 def specification_kernel(vol: Volume, params: ModelParams, bc: BoundaryCondition,

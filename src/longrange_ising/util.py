@@ -28,10 +28,6 @@ def logsumexp(a: np.ndarray) -> float:
     return float(m + np.log(np.sum(np.exp(a - m))))
 
 
-def combine_logsumexp(parts: list[float]) -> float:
-    return logsumexp(np.asarray(parts, dtype=np.float64))
-
-
 def iter_spin_blocks(n_sites: int, block: int = ENUMERATION_BLOCK) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (start_index, S) blocks covering all 2**n_sites configurations.
 

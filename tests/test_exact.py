@@ -10,7 +10,7 @@ import pytest
 from longrange_ising import contours as ct
 from longrange_ising import exact as ex
 from longrange_ising import model as m
-from longrange_ising.util import CapacityError
+from longrange_ising.util import CapacityError, iter_spin_blocks, logsumexp
 
 
 def brute_log_partition(vol, params, bc, site_order=None):
@@ -39,7 +39,7 @@ def test_partition_beta_zero():
     for L in (0, 1, 2):
         vol = m.Volume(1, L)
         params = m.ModelParams(0.0, m.PowerLaw(1.0, 1.5))
-        assert math.exp(ex.enumerate_partition(vol, params, m.plus_bc())) == \
+        assert math.exp(m.log_partition(vol, params, m.plus_bc())) == \
             pytest.approx(2.0 ** vol.n_sites, rel=1e-13)
 
 
@@ -48,15 +48,15 @@ def test_partition_two_bond_closed_form():
     # Z = sum over bond-energy values = 4 + 1 + .25 + 1 + 1 + .25 + 1 + 4
     vol = m.Volume(1, 1)
     params = m.ModelParams(math.log(2.0), m.NearestNeighbor(1.0))
-    assert math.exp(ex.enumerate_partition(vol, params, m.free_bc())) == \
+    assert math.exp(m.log_partition(vol, params, m.free_bc())) == \
         pytest.approx(12.5, rel=1e-13)
 
 
 def test_partition_flip_symmetric():
     vol = m.Volume(1, 2)
     params = m.ModelParams(1.3, m.PowerLaw(1.0, 1.7))
-    assert ex.enumerate_partition(vol, params, m.plus_bc()) == pytest.approx(
-        ex.enumerate_partition(vol, params, m.minus_bc()), abs=1e-12)
+    assert m.log_partition(vol, params, m.plus_bc()) == pytest.approx(
+        m.log_partition(vol, params, m.minus_bc()), abs=1e-12)
 
 
 def test_partition_site_order_invariance():
@@ -65,7 +65,7 @@ def test_partition_site_order_invariance():
     params = m.ModelParams(0.9, m.PowerLaw(1.0, 1.6))
     order = vol.sites()
     random.Random(7).shuffle(order)
-    got = ex.enumerate_partition(vol, params, m.alternating_bc())
+    got = m.log_partition(vol, params, m.alternating_bc())
     assert got == pytest.approx(
         brute_log_partition(vol, params, m.alternating_bc(), order), abs=1e-11)
 
@@ -74,7 +74,53 @@ def test_partition_capacity():
     vol = m.Volume(2, 2)
     params = m.ModelParams(1.0, m.AnisotropicAxes(1.5, "nn"))
     with pytest.raises(CapacityError):
-        ex.enumerate_partition(vol, params, m.plus_bc())
+        m.log_partition(vol, params, m.plus_bc())
+
+
+# ---------------------------------------------------------------------------
+# split enumeration kernel
+
+
+KERNEL_CASES = [(0, 1, 3), (1, 0, 0), (2, 1, 1), (7, 3, 0), (7, 4, 2), (8, 4, 1),
+                (13, 6, 0), (13, 7, 2), (16, 8, 1)]     # (n_free, L, n_frozen)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.1, 40.0])
+@pytest.mark.parametrize("n_free,L,n_frozen", KERNEL_CASES)
+def test_split_kernel_matches_brute_force(monkeypatch, n_free, L, n_frozen, beta):
+    # a 4 KiB tile budget streams up to 128 tiles, so the running-max rescale
+    # runs; at beta = 40 whole tiles underflow against the maximum
+    monkeypatch.setattr(m, "TILE_BYTES", 4096)
+    vol = m.Volume(1, L)
+    spread = vol.sites()[::2] + vol.sites()[1::2]
+    frozen = {s: (-1) ** i for i, s in enumerate(spread[:n_frozen])}
+    params = m.ModelParams(beta, m.PowerLaw(1.0, 1.5), field=0.3)
+    sys_ = ex._reduce(vol, params, m.alternating_bc(), frozen)
+    assert sys_.n_free == n_free
+    S = np.concatenate([b for _, b in iter_spin_blocks(n_free)]).astype(np.float64)
+    lw = sys_.log_weights(S)
+    log_z = logsumexp(lw)
+    p = np.exp(lw - log_z)
+    got = sys_.sums(second=True, fold=lambda rows, w: rows.astype(np.float64).T @ w)
+    assert got.log_z == pytest.approx(log_z, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(got.mean, S.T @ p, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.second, (S.T * p) @ S, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.folded, S.T @ p, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_free", [22, 24])
+def test_site_means_memory_bounded(n_free):
+    import tracemalloc
+    vol = m.Volume(1, 12)
+    frozen = {s: 1 for s in vol.sites()[:vol.n_sites - n_free]}
+    tracemalloc.start()
+    try:
+        ex.conditional_site_means(vol, m.ModelParams(1.0, m.PowerLaw(1.0, 1.5)),
+                                  m.plus_bc(), frozen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +226,14 @@ def test_interface_symmetry_and_normalization():
     for t in law.grid:
         assert d[t] == pytest.approx(d[-t], abs=1e-12)
         assert d[t] > 0.0
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_interface_points_match_scalar_oracle(L):
+    vol = m.Volume(1, L)
+    S = np.concatenate([b for _, b in iter_spin_blocks(vol.n_sites)])
+    expected = [ct.interface_point(vol, row) for row in S]
+    assert ct.interface_points(vol, S).tolist() == expected
 
 
 def test_interface_beta_zero_counting():

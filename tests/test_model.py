@@ -255,6 +255,21 @@ def test_hamiltonian_brute_oracle():
         assert m.hamiltonian(vol, params, bc, cfg) == pytest.approx(H, abs=1e-12)
 
 
+def test_field_vector_shares_one_cache_key():
+    # 3-argument, defaulted and explicit-crossover calls hit one entry
+    vol = m.Volume(1, 3)
+    params = m.ModelParams(1.0, m.PowerLaw(1.0, 1.5))
+    bc = m.plus_bc()
+    m.log_partition.cache_clear()
+    m.boundary_field_vector.cache_clear()
+    m.log_partition(vol, params, bc)
+    misses = m.boundary_field_vector.cache_info().misses
+    m.hamiltonian(vol, params, bc, m.all_plus(vol))
+    m.excess_energy(vol, params.coupling, bc)
+    m.boundary_field_vector(vol, params.coupling, bc, em_crossover=m.EM_CROSSOVER)
+    assert m.boundary_field_vector.cache_info().misses == misses
+
+
 def test_global_flip_symmetry_exhaustive():
     vol = m.Volume(1, 2)
     params = m.ModelParams(1.0, m.PowerLaw(1.0, 1.5))

@@ -51,7 +51,7 @@ TEMPLATE = {
         "beta": "float or list of floats for a ladder",
         "coupling": {"family": "nn | power_law | isotropic_mixed | anisotropic_axes",
                      "J": 1.0, "alpha": 1.5},
-        "field": "optional: float",
+        "field": "optional: float, or a list with one float per site",
     },
     "bc": {"name": "plus | minus | free | alternating | dobrushin1d | dobrushin2d",
            "height": "dobrushin2d only"},
@@ -138,6 +138,8 @@ def validate_config(cfg: dict) -> dict:
             for b in _as_ladder(mblock["beta"], "model.beta"):
                 if b < 0:
                     raise ConfigError("model.beta: must be >= 0")
+        if "field" in mblock:
+            _as_ladder(mblock["field"], "model.field")
     if "bc" in cfg:
         parse_bc(cfg["bc"])
     if cfg.get("method", "exact") not in ("exact", "mcmc"):
@@ -214,11 +216,20 @@ def _model_pieces(cfg: dict):
     return dim, Ls, betas, coupling, field, bc
 
 
+def _params(vol: model.Volume, beta: float, coupling, field) -> model.ModelParams:
+    params = model.ModelParams(beta, coupling, field)
+    try:
+        model.external_field_vector(vol, params)
+    except ValueError as err:
+        raise ConfigError(f"model.field: {err} ({vol.n_sites} sites)") from err
+    return params
+
+
 def _point_enumerate(args):
     cfg, L, beta = args
     dim, _, _, coupling, field, bc = _model_pieces(cfg)
     vol = model.Volume(dim, L)
-    params = model.ModelParams(beta, coupling, field)
+    params = _params(vol, beta, coupling, field)
     logZ = model.log_partition(vol, params, bc)
     m0 = exact.expectation(vol, params, bc, exact.spin_observable(
         vol, 0 if dim == 1 else (0, 0)))
@@ -231,7 +242,7 @@ def _point_sample(args):
     dim, _, _, coupling, field, bc = _model_pieces(cfg)
     sampler_cfg = cfg.get("sampler", {})
     vol = model.Volume(dim, L)
-    params = model.ModelParams(beta, coupling, field)
+    params = _params(vol, beta, coupling, field)
     obs = exact.spin_observable(vol, 0 if dim == 1 else (0, 0))
     seeds = mcmc.replica_seeds(int(cfg.get("seed", 0)), probes.MCMC_REPLICAS)
     initials = ("plus", "minus", "random")
@@ -279,7 +290,7 @@ def run_config(cfg: dict, workers: int = 1) -> dict:
     elif sub == "interface":
         dim, Ls, betas, coupling, field, _ = _model_pieces(cfg)
         vol = model.Volume(1, Ls[0])
-        params = model.ModelParams(betas[0], coupling, field)
+        params = _params(vol, betas[0], coupling, field)
         law = exact.interface_distribution(vol, params)
         rows = [{"theta": t, "mass": p} for t, p in zip(law.grid, law.masses)]
 

@@ -18,7 +18,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .util import CapacityError, ENUMERATION_SITE_CAP, iter_spin_blocks
+from .util import CapacityError, ENUMERATION_SITE_CAP, byte_lru_cache, iter_spin_blocks
 
 Site = Union[int, tuple]
 
@@ -30,6 +30,17 @@ TILE_BYTES = 16 << 20
 
 #: Largest volume for which a dense coupling matrix is materialized.
 MATRIX_SITE_CAP = 4096
+
+#: Byte budgets of the caches of coupling matrices (one 4096-site matrix is
+#: 128 MiB), boundary-field vectors (8 vectors at L = 2048; a beta-ladder
+#: reads its vector right after building it) and tail tables (80 KiB each
+#: at the default crossover; a 2d isotropic field reads five).
+MATRIX_CACHE_BYTES = 256 << 20
+FIELD_CACHE_BYTES = 256 << 10
+TAIL_CACHE_BYTES = 512 << 10
+
+#: Bytes of one (sites x near-zone) power-matrix block of a field vector.
+NEAR_BLOCK_BYTES = 4 << 20
 
 #: Rows farther than this from a 2d target site use the Poisson asymptotic
 #: row sum c_alpha * d**(1-alpha); the residual is O(exp(-2*pi*d)).
@@ -231,7 +242,7 @@ def coupling_row(vol: Volume, spec: CouplingSpec, site: Site) -> np.ndarray:
     return row
 
 
-@lru_cache(maxsize=64)
+@byte_lru_cache(MATRIX_CACHE_BYTES)
 def coupling_matrix(vol: Volume, spec: CouplingSpec) -> np.ndarray:
     """Dense symmetric coupling matrix with zero diagonal (cached)."""
     if vol.n_sites > MATRIX_SITE_CAP:
@@ -249,31 +260,60 @@ def coupling_matrix(vol: Volume, spec: CouplingSpec) -> np.ndarray:
 # analytic tail sums
 
 
-def hurwitz_tail(alpha: float, shift: float = 0.0, start: int = 0,
-                 em_crossover: int = EM_CROSSOVER) -> float:
+def _em_tail(alpha: float, m):
+    """Euler-Maclaurin closed form of Sum_{i >= 0} (m + i)^(-alpha), with
+    corrections through the m^(-alpha-3) term; the neglected Bernoulli term
+    is O(m^(-alpha-5)).  `m` may be an array."""
+    return (m ** (1.0 - alpha) / (alpha - 1.0)
+            + 0.5 * m ** (-alpha)
+            + alpha / 12.0 * m ** (-alpha - 1.0)
+            - alpha * (alpha + 1.0) * (alpha + 2.0) / 720.0 * m ** (-alpha - 3.0))
+
+
+@byte_lru_cache(TAIL_CACHE_BYTES)
+def _tail_table(alpha: float, frac: float, M: int) -> np.ndarray:
+    """Read-only suffix[j] = Sum_{j < k <= M} (k + frac)^(-alpha), j = 0..M.
+
+    Accumulated from the small (k = M) end, so every entry keeps its full
+    relative precision; total minus a prefix sum would not."""
+    suffix = np.zeros(M + 1)
+    terms = (np.arange(M, 0, -1, dtype=np.float64) + frac) ** (-alpha)
+    suffix[:M] = np.cumsum(terms)[::-1]
+    suffix.setflags(write=False)
+    return suffix
+
+
+def hurwitz_tail(alpha: float, shift: float = 0.0, start=0,
+                 em_crossover: int = EM_CROSSOVER):
     """Sum_{k > start} (k + shift)^(-alpha) to ~1e-12 relative error.
 
-    Direct partial sum through max(start, em_crossover), then the
-    Euler-Maclaurin closed tail with corrections through the
-    (m)^(-alpha-3) term; the neglected Bernoulli term is O(m^(-alpha-5)).
+    The integer part of `shift` moves into `start`, so all shifts with one
+    fractional part share one suffix table (_tail_table) of the direct sum
+    through index em_crossover; the Euler-Maclaurin closed form takes the
+    rest.  `start` may be an integer array, giving one tail per entry.
     """
     if alpha <= 1:
         raise ValueError("tail sum diverges for alpha <= 1")
-    if start + 1 + shift <= 0:
+    whole = math.floor(shift)
+    frac = shift - whole
+    vector = np.ndim(start) > 0
+    j = np.asarray(start, dtype=np.int64) + whole if vector else int(start) + whole
+    if (j.min() if vector else j) + 1 + frac <= 0:
         raise ValueError("summand base must stay positive")
-    M = max(start, em_crossover)
-    partial = 0.0
-    if M > start:
-        ks = np.arange(start + 1, M + 1, dtype=np.float64)
-        partial = float(np.sum((ks + shift) ** (-alpha)))
-    m = M + 1 + shift
-    em = (
-        m ** (1.0 - alpha) / (alpha - 1.0)
-        + 0.5 * m ** (-alpha)
-        + alpha / 12.0 * m ** (-alpha - 1.0)
-        - alpha * (alpha + 1.0) * (alpha + 2.0) / 720.0 * m ** (-alpha - 3.0)
-    )
-    return partial + em
+    M = em_crossover
+    if vector:
+        out = _em_tail(alpha, np.maximum(j, M) + (1.0 + frac))
+        inside = j < M
+        if inside.any():
+            out[inside] += _tail_table(alpha, frac, M)[np.maximum(j[inside], 0)]
+        if frac:
+            out[j < 0] += frac ** (-alpha)
+        return out
+    if j >= M:
+        return _em_tail(alpha, j + 1.0 + frac)
+    total = float(_tail_table(alpha, frac, M)[max(j, 0)]) + _em_tail(alpha, M + 1.0 + frac)
+    # j = -1 leaves the k = 0 term (frac > 0 here) outside the table
+    return total + frac ** (-alpha) if j < 0 else total
 
 
 def tail_coupling_sum(alpha: float, N: int, em_crossover: int = EM_CROSSOVER) -> float:
@@ -283,17 +323,42 @@ def tail_coupling_sum(alpha: float, N: int, em_crossover: int = EM_CROSSOVER) ->
     return hurwitz_tail(alpha, 0.0, N, em_crossover)
 
 
-def alternating_tail(alpha: float, shift: float = 0.0, start: int = 0,
-                     em_crossover: int = EM_CROSSOVER) -> float:
-    """Sum_{k > start} (-1)^k (k + shift)^(-alpha) via an even/odd split."""
-    m_even = start // 2
-    m_odd = (start + 1) // 2
-    even = hurwitz_tail(alpha, shift / 2.0, m_even, em_crossover)
-    odd = hurwitz_tail(alpha, (shift - 1.0) / 2.0, m_odd, em_crossover)
-    return 2.0 ** (-alpha) * (even - odd)
+def _boole_tail(alpha: float, m):
+    """Boole summation closed form of Sum_{i >= 0} (-1)^i (m + i)^(-alpha)
+    through the m^(-alpha-7) term; `m` may be an array."""
+    u = 1.0 / m
+    p1 = alpha * u
+    p3 = p1 * (alpha + 1.0) * (alpha + 2.0) * u * u
+    p5 = p3 * (alpha + 3.0) * (alpha + 4.0) * u * u
+    p7 = p5 * (alpha + 5.0) * (alpha + 6.0) * u * u
+    return m ** (-alpha) * (0.5 + p1 / 4.0 - p3 / 48.0 + p5 / 480.0 - 17.0 * p7 / 80640.0)
 
 
-@lru_cache(maxsize=100_000)
+def alternating_tail(alpha: float, shift: float = 0.0, start=0,
+                     em_crossover: int = EM_CROSSOVER):
+    """Sum_{k > start} (-1)^k (k + shift)^(-alpha); `start` may be an
+    integer array.
+
+    Near in, an even/odd split into two Hurwitz tails (shifts shift/2 and
+    shift/2 - 1/2, so the suffix tables are shared).  Their difference
+    cancels about log10(m) digits at base m = start + 1 + shift, so from
+    m >= 40 (alpha + 1) on the Boole closed form takes over; its first
+    omitted term is below 1e-16 relative there.
+    """
+    starts = np.atleast_1d(np.asarray(start, dtype=np.int64))
+    m = starts + 1.0 + shift
+    far = m >= 40.0 * (alpha + 1.0)
+    out = np.empty(starts.size)
+    out[far] = (1 - 2 * ((starts[far] + 1) % 2)) * _boole_tail(alpha, m[far])
+    near = starts[~far]
+    if near.size:
+        even = hurwitz_tail(alpha, shift / 2.0, near // 2, em_crossover)
+        odd = hurwitz_tail(alpha, (shift - 1.0) / 2.0, (near + 1) // 2, em_crossover)
+        out[~far] = 2.0 ** (-alpha) * (even - odd)
+    return out if np.ndim(start) else float(out[0])
+
+
+@lru_cache(maxsize=2048)
 def _half_row_sum(alpha: float, d: int, start: int, em_crossover: int = EM_CROSSOVER) -> float:
     """Sum_{k >= start} (k^2 + d^2)^(-alpha/2) for a 2d lattice row segment."""
     if start < 1:
@@ -314,7 +379,7 @@ def _half_row_sum(alpha: float, d: int, start: int, em_crossover: int = EM_CROSS
     return direct + tail
 
 
-@lru_cache(maxsize=50_000)
+@lru_cache(maxsize=1024)
 def _full_row_sum(alpha: float, d: int, em_crossover: int = EM_CROSSOVER) -> float:
     """Sum over a whole lattice row at vertical distance d >= 1."""
     return float(d) ** (-alpha) + 2.0 * _half_row_sum(alpha, d, 1, em_crossover)
@@ -569,101 +634,100 @@ def _ray_tail_rule(bc: BoundaryCondition, probe: Site) -> RegionRule:
     raise AssertionError("unreachable")
 
 
-def _field_1d(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition, x: int,
-              em_crossover: int) -> float:
+def _ray_fill(bc: BoundaryCondition, probe: Site) -> int:
+    """Constant value of a 2d ray tail; alternating fills have no 2d tail."""
+    fill = _ray_tail_rule(bc, probe).fill
+    if not isinstance(fill, ConstFill):
+        raise ValueError("alternating fills are 1d-only")
+    return fill.value
+
+
+def _power_sum(xs: np.ndarray, ys: np.ndarray, spins: np.ndarray, alpha: float) -> np.ndarray:
+    """Sum_y |y - x|^(-alpha) * spins[y] for every x: the power matrix of the
+    near zone times its spins (a vector or one column per line), built in row
+    blocks of at most NEAR_BLOCK_BYTES."""
+    out = np.zeros((xs.size,) + spins.shape[1:])
+    if ys.size:
+        step = max(1, NEAR_BLOCK_BYTES // (8 * ys.size))
+        for i in range(0, xs.size, step):
+            d = np.abs(ys[None, :] - xs[i:i + step, None]).astype(np.float64)
+            out[i:i + step] = d ** (-alpha) @ spins
+    return out
+
+
+def _line_field(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
+                em_crossover: int) -> np.ndarray:
+    """1d power-law part of h: on each side, the near zone out to the pinned
+    extent W (spins read once), then the analytic ray tail beyond W."""
     L = vol.half_width
-    if isinstance(spec, NearestNeighbor):
-        total = 0.0
-        for nbr in (x - 1, x + 1):
-            if not vol.contains(nbr):
-                total += spec.strength * bc.spin_at(nbr)
-        return total
-
-    if isinstance(spec, PowerLaw):
-        amp, alpha, nn_extra = spec.strength, spec.alpha, 0.0
-    elif isinstance(spec, IsotropicMixed):
-        amp, alpha, nn_extra = 1.0, spec.alpha, spec.nn_strength
-    else:
-        raise TypeError(f"{spec!r} is not a 1d coupling family")
-
+    amp = spec.strength if isinstance(spec, PowerLaw) else 1.0
+    xs = np.arange(-L, L + 1)
     W = max(L, bc.finite_extent())
-    total = 0.0
+    h = np.zeros(vol.n_sites)
     for direction in (+1, -1):
-        # explicit near zone: sites from the boundary out to the pinned extent
-        first = L + 1 if direction > 0 else -L - 1
-        ys = range(first, direction * W + direction, direction)
-        for y in ys:
-            s = bc.spin_at(y)
-            if s:
-                total += amp * s * abs(y - x) ** (-alpha)
-        # analytic tail beyond W (rule is constant out there)
-        start = W - x if direction > 0 else W + x
-        rule = _ray_tail_rule(bc, direction * (W + 1))
-        if isinstance(rule.fill, ConstFill):
-            if rule.fill.value:
-                total += amp * rule.fill.value * hurwitz_tail(alpha, 0.0, start, em_crossover)
-        else:  # alternating: (-1)^y = (-1)^(x +- k)
-            parity = 1 if x % 2 == 0 else -1
-            total += amp * rule.fill.phase * parity * alternating_tail(alpha, 0.0, start, em_crossover)
-
-    if nn_extra:
-        for nbr in (x - 1, x + 1):
-            if not vol.contains(nbr):
-                total += nn_extra * bc.spin_at(nbr)
-    return total
+        ys = direction * np.arange(L + 1, W + 1)
+        spins = np.array([bc.spin_at(int(y)) for y in ys], dtype=np.float64)
+        h += _power_sum(xs, ys, spins, spec.alpha)
+        starts = W - direction * xs
+        fill = _ray_tail_rule(bc, direction * (W + 1)).fill
+        if isinstance(fill, ConstFill):
+            if fill.value:
+                h += fill.value * hurwitz_tail(spec.alpha, 0.0, starts, em_crossover)
+        else:  # alternating: (-1)^y = (-1)^x (-1)^k at distance k
+            parity = 1 - 2 * (xs % 2)
+            h += fill.phase * parity * alternating_tail(spec.alpha, 0.0, starts, em_crossover)
+    return amp * h
 
 
-def _field_2d_axes(vol: Volume, spec: AnisotropicAxes, bc: BoundaryCondition,
-                   x: Site, em_crossover: int) -> float:
+def _axes_field(vol: Volume, spec: AnisotropicAxes, bc: BoundaryCondition,
+                em_crossover: int) -> np.ndarray:
+    """Power-law ray parts of h[x1, x2] for axis couplings: horizontal rays
+    (same x2) and, for a power-law vertical, vertical rays (same x1)."""
     L = vol.half_width
-    x1, x2 = x
+    cs = np.arange(-L, L + 1)
     ext = max(L, bc.finite_extent())
-    total = 0.0
-
-    # horizontal ray pairs (same row), decay alpha1
-    for direction in (+1, -1):
-        first = L + 1 if direction > 0 else -L - 1
-        for y1 in range(first, direction * ext + direction, direction):
-            s = bc.spin_at((y1, x2))
-            if s:
-                total += s * abs(y1 - x1) ** (-spec.horizontal_alpha)
-        rule = _ray_tail_rule(bc, (direction * (ext + 1), x2))
-        if not isinstance(rule.fill, ConstFill):
-            raise ValueError("alternating fills are 1d-only")
-        if rule.fill.value:
-            start = ext - x1 if direction > 0 else ext + x1
-            total += rule.fill.value * hurwitz_tail(spec.horizontal_alpha, 0.0, start, em_crossover)
-
-    # vertical ray pairs (same column)
-    if spec.vertical == "nn":
-        for y2 in (x2 - 1, x2 + 1):
-            if not vol.contains((x1, y2)):
-                total += bc.spin_at((x1, y2))
-    else:
-        a2 = float(spec.vertical)
+    near = np.arange(L + 1, ext + 1)
+    h = np.zeros((vol.side, vol.side))
+    rays = [(spec.horizontal_alpha, False)]
+    if spec.vertical != "nn":
+        rays.append((float(spec.vertical), True))
+    for alpha, vertical in rays:
+        # site(line c, coordinate t along the ray); h is read as (along, line)
+        site = (lambda c, t: (int(c), int(t))) if vertical else (lambda c, t: (int(t), int(c)))
+        part = np.zeros((vol.side, vol.side))
         for direction in (+1, -1):
-            first = L + 1 if direction > 0 else -L - 1
-            for y2 in range(first, direction * ext + direction, direction):
-                s = bc.spin_at((x1, y2))
-                if s:
-                    total += s * abs(y2 - x2) ** (-a2)
-            rule = _ray_tail_rule(bc, (x1, direction * (ext + 1)))
-            if not isinstance(rule.fill, ConstFill):
-                raise ValueError("alternating fills are 1d-only")
-            if rule.fill.value:
-                start = ext - x2 if direction > 0 else ext + x2
-                total += rule.fill.value * hurwitz_tail(a2, 0.0, start, em_crossover)
-    return total
+            ys = direction * near
+            spins = np.array([[bc.spin_at(site(c, y)) for c in cs] for y in ys],
+                             dtype=np.float64).reshape(ys.size, vol.side)
+            part += _power_sum(cs, ys, spins, alpha)
+            fills = np.array([_ray_fill(bc, site(c, direction * (ext + 1))) for c in cs])
+            part += np.outer(hurwitz_tail(alpha, 0.0, ext - direction * cs, em_crossover), fills)
+        h += part.T if vertical else part
+    return h
+
+
+def _add_nn_bonds(h: np.ndarray, vol: Volume, bc: BoundaryCondition, strength: float,
+                  axes) -> None:
+    """h += strength * omega_y for each exterior nearest neighbor y along
+    `axes`; h has shape (side,) * dimension."""
+    L = vol.half_width
+    cs = range(-L, L + 1)
+    for axis in axes:
+        for edge, y in ((0, -L - 1), (-1, L + 1)):
+            if vol.dimension == 1:
+                h[edge] += strength * bc.spin_at(y)
+            elif axis == 0:
+                h[edge, :] += strength * np.array([bc.spin_at((y, c)) for c in cs])
+            else:
+                h[:, edge] += strength * np.array([bc.spin_at((c, y)) for c in cs])
 
 
 def _field_2d_isotropic(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
                         x: Site, em_crossover: int) -> float:
     L = vol.half_width
     x1, x2 = x
-    if isinstance(spec, PowerLaw):
-        amp, alpha, nn_extra = spec.strength, spec.alpha, 0.0
-    else:
-        amp, alpha, nn_extra = 1.0, spec.alpha, spec.nn_strength
+    amp = spec.strength if isinstance(spec, PowerLaw) else 1.0
+    alpha = spec.alpha
     if alpha <= 2:
         raise ValueError("2d isotropic tails need alpha > 2")
 
@@ -702,37 +766,42 @@ def _field_2d_isotropic(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
             if val != base:
                 total += (val - base) * coupling_value(spec, x, site)
 
-    if nn_extra:
-        for nbr in ((x1 - 1, x2), (x1 + 1, x2), (x1, x2 - 1), (x1, x2 + 1)):
-            if not vol.contains(nbr):
-                total += nn_extra * bc.spin_at(nbr)
     return total
 
 
 def boundary_field(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition, x: Site,
                    em_crossover: int = EM_CROSSOVER) -> float:
-    """h_x = sum over exterior sites y of J_xy * omega_y, exact to <= 1e-10."""
-    validate_coupling(spec, vol.dimension)
+    """h_x = sum over exterior sites y of J_xy * omega_y, exact to <= 1e-10:
+    one entry of the cached field vector."""
     if not vol.contains(x):
         raise ValueError(f"site {x} not in the volume")
-    if vol.dimension == 1:
-        return _field_1d(vol, spec, bc, x, em_crossover)
-    if isinstance(spec, AnisotropicAxes):
-        return _field_2d_axes(vol, spec, bc, x, em_crossover)
-    if isinstance(spec, NearestNeighbor):
-        total = 0.0
-        x1, x2 = x
-        for nbr in ((x1 - 1, x2), (x1 + 1, x2), (x1, x2 - 1), (x1, x2 + 1)):
-            if not vol.contains(nbr):
-                total += spec.strength * bc.spin_at(nbr)
-        return total
-    return _field_2d_isotropic(vol, spec, bc, x, em_crossover)
+    return float(_field_vector(vol, spec, bc, em_crossover)[vol.index(x)])
 
 
-@lru_cache(maxsize=256)
+@byte_lru_cache(FIELD_CACHE_BYTES)
 def _field_vector(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
                   em_crossover: int) -> np.ndarray:
-    h = np.array([boundary_field(vol, spec, bc, x, em_crossover) for x in vol.sites()])
+    """The one field builder.  1d and axis couplings sum each near zone as
+    one power-matrix product and gather the ray tails from the suffix
+    tables; 2d isotropic sites loop over the cached row sums."""
+    validate_coupling(spec, vol.dimension)
+    shape = (vol.side,) * vol.dimension
+    if isinstance(spec, AnisotropicAxes):
+        h = _axes_field(vol, spec, bc, em_crossover)
+        nn, axes = (1.0 if spec.vertical == "nn" else 0.0), (1,)
+    else:
+        nn = spec.strength if isinstance(spec, NearestNeighbor) else getattr(spec, "nn_strength", 0.0)
+        axes = range(vol.dimension)
+        if isinstance(spec, NearestNeighbor):
+            h = np.zeros(shape)
+        elif vol.dimension == 1:
+            h = _line_field(vol, spec, bc, em_crossover)
+        else:
+            h = np.array([_field_2d_isotropic(vol, spec, bc, x, em_crossover)
+                          for x in vol.sites()]).reshape(shape)
+    if nn:
+        _add_nn_bonds(h, vol, bc, nn, axes)
+    h = h.ravel()
     h.setflags(write=False)
     return h
 
@@ -740,8 +809,8 @@ def _field_vector(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
 def boundary_field_vector(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
                           em_crossover: int = EM_CROSSOVER) -> np.ndarray:
     """Read-only h_x over all sites, cached under one key per argument set
-    however the call spells it (lru_cache alone keys positional, keyword and
-    defaulted spellings apart)."""
+    however the call spells it (the cache itself keys positional arguments
+    only)."""
     return _field_vector(vol, spec, bc, em_crossover)
 
 
@@ -755,7 +824,9 @@ boundary_field_vector.cache_clear = _field_vector.cache_clear
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Inverse temperature, coupling family, optional external field."""
+    """Inverse temperature, coupling family, optional external field: one
+    number, or a per-site table (any sequence, kept as a tuple of floats so
+    the parameters stay hashable)."""
 
     beta: float
     coupling: CouplingSpec
@@ -764,12 +835,14 @@ class ModelParams:
     def __post_init__(self):
         if not math.isfinite(self.beta) or self.beta < 0:
             raise ValueError("beta must be finite and >= 0")
+        if self.field is not None and np.ndim(self.field) > 0:
+            object.__setattr__(self, "field", tuple(float(v) for v in self.field))
 
 
 def external_field_vector(vol: Volume, params: ModelParams) -> np.ndarray:
     if params.field is None:
         return np.zeros(vol.n_sites)
-    if isinstance(params.field, (int, float)):
+    if np.ndim(params.field) == 0:
         return np.full(vol.n_sites, float(params.field))
     table = np.asarray(params.field, dtype=np.float64)
     if table.shape != (vol.n_sites,):

@@ -1,9 +1,13 @@
-"""Shared numeric helpers: log-domain sums, spin enumeration blocks, fits."""
+"""Shared numeric helpers: log-domain sums, spin enumeration blocks, fits,
+and a byte-bounded LRU cache for array-valued functions."""
 
 from __future__ import annotations
 
+import collections
+import functools
 import json
 import math
+import threading
 from typing import Iterator
 
 import numpy as np
@@ -17,6 +21,55 @@ ENUMERATION_BLOCK = 1 << 16
 
 class CapacityError(RuntimeError):
     """Raised when a request exceeds an enumeration or memory capacity cap."""
+
+
+CacheInfo = collections.namedtuple("CacheInfo", "hits misses max_bytes nbytes")
+
+
+def byte_lru_cache(max_bytes: int):
+    """Memoize a function of hashable arguments that returns arrays, keeping
+    the most recently used results while their total ``nbytes`` stays within
+    ``max_bytes``.  A result larger than the whole budget is returned but not
+    kept.  The wrapper carries ``cache_info()``, ``cache_clear()`` and a
+    settable ``max_bytes``."""
+
+    def decorate(fn):
+        entries = collections.OrderedDict()
+        lock = threading.Lock()
+        stats = {"hits": 0, "misses": 0, "nbytes": 0}
+
+        @functools.wraps(fn)
+        def cached(*args):
+            with lock:
+                if args in entries:
+                    entries.move_to_end(args)
+                    stats["hits"] += 1
+                    return entries[args]
+                stats["misses"] += 1
+            value = fn(*args)
+            size = value.nbytes
+            with lock:
+                if size <= cached.max_bytes and args not in entries:
+                    entries[args] = value
+                    stats["nbytes"] += size
+                while stats["nbytes"] > cached.max_bytes:
+                    stats["nbytes"] -= entries.popitem(last=False)[1].nbytes
+            return value
+
+        def cache_info() -> CacheInfo:
+            return CacheInfo(stats["hits"], stats["misses"], cached.max_bytes, stats["nbytes"])
+
+        def cache_clear() -> None:
+            with lock:
+                entries.clear()
+                stats.update(hits=0, misses=0, nbytes=0)
+
+        cached.max_bytes = max_bytes
+        cached.cache_info = cache_info
+        cached.cache_clear = cache_clear
+        return cached
+
+    return decorate
 
 
 def logsumexp(a: np.ndarray) -> float:

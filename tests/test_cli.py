@@ -40,6 +40,22 @@ def test_bad_method_rejected():
         cli.validate_config({"subcommand": "enumerate", "method": "guess"})
 
 
+def test_per_site_field_list_runs_and_bad_length_is_config_error(tmp_path):
+    cfg = {"subcommand": "enumerate",
+           "model": {"L": 1, "beta": 0.7, "field": [0.1, 0.2, 0.3]}}
+    record = cli.run_config(cli.validate_config(cfg))
+    assert math.isfinite(record["rows"][0]["log_Z"])
+    cfg["model"]["L"] = 2
+    with pytest.raises(cli.ConfigError, match="model.field"):
+        cli.run_config(cli.validate_config(cfg))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    res = run_cli(["run", "--config", str(path)])
+    assert res.returncode == 2 and "model.field" in res.stderr
+    with pytest.raises(cli.ConfigError, match="model.field"):
+        cli.validate_config({"subcommand": "enumerate", "model": {"field": "strong"}})
+
+
 def test_valid_config_passes():
     cfg = {"subcommand": "probe.decimation",
            "model": {"L": 2, "beta": 4.0,

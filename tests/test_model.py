@@ -117,6 +117,32 @@ def test_alternating_tail_brute():
     assert m.alternating_tail(alpha, shift, start) == pytest.approx(brute, abs=1e-9)
 
 
+TAIL_STARTS = (0, 1, m.EM_CROSSOVER - 1, m.EM_CROSSOVER, m.EM_CROSSOVER + 1, 5 * m.EM_CROSSOVER)
+
+
+@pytest.mark.parametrize("alpha", (1.2, 1.5, 2.5, 4.0))
+def test_tails_match_mpmath_zeta(alpha):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    for shift in (0.0, -0.5, 0.5, 3.0, 17.25):
+        for start in TAIL_STARTS:
+            base = mpmath.mpf(start) + 1 + mpmath.mpf(shift)
+            want = mpmath.zeta(alpha, base)
+            assert abs(m.hurwitz_tail(alpha, shift, start) / want - 1) <= 1e-12
+            # sum_{k > start} (-1)^k (k + shift)^-a from two half-step zetas
+            want = (-1) ** (start + 1) * mpmath.mpf(2) ** -alpha * (
+                mpmath.zeta(alpha, base / 2) - mpmath.zeta(alpha, (base + 1) / 2))
+            assert abs(m.alternating_tail(alpha, shift, start) / want - 1) <= 1e-12
+        # the vector form gathers the same values (up to numpy's array pow)
+        starts = np.array(TAIL_STARTS)
+        np.testing.assert_allclose(m.hurwitz_tail(alpha, shift, starts),
+                                   [m.hurwitz_tail(alpha, shift, s) for s in TAIL_STARTS],
+                                   rtol=1e-15, atol=0)
+        np.testing.assert_allclose(m.alternating_tail(alpha, shift, starts),
+                                   [m.alternating_tail(alpha, shift, s) for s in TAIL_STARTS],
+                                   rtol=1e-15, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # boundary fields
 
@@ -151,6 +177,39 @@ def test_boundary_field_alternating_brute():
         assert got == pytest.approx(float(right + left), abs=1e-8)
 
 
+def _exterior_spins(bc, site, ys, E=64):
+    """bc spins at site(y) for y in ys: read directly for |y| <= E, and beyond
+    from the parity-matched site at distance E+1 or E+2 on the same side
+    (every pinned region and pattern lies within E)."""
+    out = np.empty(ys.size)
+    near = np.abs(ys) <= E
+    out[near] = [bc.spin_at(site(int(y))) for y in ys[near]]
+    for side in (1, -1):
+        far = (np.sign(ys) == side) & ~near
+        ref = [bc.spin_at(site(side * (E + 1 + ((E + 1 + p) % 2)))) for p in (0, 1)]
+        out[far] = np.where(ys[far] % 2 == 0, ref[0], ref[1])
+    return out
+
+
+@pytest.mark.parametrize("kind, alpha", [("frozen_interval", 2.6), ("left_neighborhood", 2.6),
+                                         ("pattern_plus", 2.6), ("pattern_alternating", 1.6)])
+def test_boundary_field_near_zone_brute(kind, alpha):
+    # exteriors pinned beyond the volume, so the field has a near zone
+    vol = m.Volume(1, 3)
+    bc = {"frozen_interval": m.frozen_interval_bc(5, 12),
+          "left_neighborhood": m.left_neighborhood_bc(-1, 12, 6),
+          "pattern_plus": m.plus_bc().with_pattern({4: -1, -6: -1, 9: -1}),
+          "pattern_alternating": m.alternating_bc().with_pattern({5: 1, -4: 1, 9: -1})}[kind]
+    R = 2_000_000                      # truncation below 2e-10 at alpha = 2.6
+    ys = np.concatenate([np.arange(4, R), -np.arange(4, R)])
+    spins = _exterior_spins(bc, lambda y: y, ys)
+    h = m.boundary_field_vector(vol, m.PowerLaw(1.0, alpha), bc)
+    for x in vol.sites():
+        brute = float(np.sum(spins * np.abs(ys - x) ** -alpha))
+        assert m.boundary_field(vol, m.PowerLaw(1.0, alpha), bc, x) == h[vol.index(x)]
+        assert h[vol.index(x)] == pytest.approx(brute, abs=1e-9)
+
+
 def test_boundary_field_tail_crossover_doubling():
     vol = m.Volume(1, 3)
     for spec in (m.PowerLaw(1.0, 1.5), m.IsotropicMixed(9.0, 1.8)):
@@ -182,18 +241,18 @@ def test_boundary_field_2d_isotropic_brute():
 def test_boundary_field_2d_axes_brute():
     vol = m.Volume(2, 2)
     spec = m.AnisotropicAxes(1.5, 2.5)
-    bc = m.dobrushin2d_bc(0)
     R = 2_000_000
     trunc = 5.0 * R ** -0.5          # two horizontal rays each drop ~2 R^-0.5
-    for x in [(0, 0), (2, 1), (-1, -2)]:
-        got = m.boundary_field(vol, spec, bc, x)
-        ys = np.arange(3, R)
-        horiz_sign = 1.0 if x[1] >= 0 else -1.0
-        brute = horiz_sign * float(np.sum((ys - x[0]) ** -1.5) + np.sum((ys + x[0]) ** -1.5))
-        up = float(np.sum((ys - x[1]) ** -2.5))
-        down = float(np.sum((ys + x[1]) ** -2.5))
-        brute += up - down
-        assert abs(got - brute) < trunc
+    ys = np.concatenate([np.arange(3, R), -np.arange(3, R)])
+    # height 4 puts rows 3 and 4 in the near zone of the vertical rays
+    for bc in (m.dobrushin2d_bc(0), m.dobrushin2d_bc(1), m.dobrushin2d_bc(4)):
+        for x in [(0, 0), (2, 1), (-1, -2), (1, 2)]:
+            got = m.boundary_field(vol, spec, bc, x)
+            horiz = _exterior_spins(bc, lambda y: (y, x[1]), ys)
+            vert = _exterior_spins(bc, lambda y: (x[0], y), ys)
+            brute = float(np.sum(horiz * np.abs(ys - x[0]) ** -1.5)
+                          + np.sum(vert * np.abs(ys - x[1]) ** -2.5))
+            assert abs(got - brute) < trunc
 
 
 def test_boundary_field_requires_interior_site():
@@ -268,6 +327,88 @@ def test_field_vector_shares_one_cache_key():
     m.excess_energy(vol, params.coupling, bc)
     m.boundary_field_vector(vol, params.coupling, bc, em_crossover=m.EM_CROSSOVER)
     assert m.boundary_field_vector.cache_info().misses == misses
+
+
+def test_field_cache_stays_within_its_byte_budget():
+    # each L = 2048 vector is 32 KiB; 48 of them overflow the budget
+    m.boundary_field_vector.cache_clear()
+    vol = m.Volume(1, 2048)
+    for i in range(48):
+        m.boundary_field_vector(vol, m.PowerLaw(1.0, 1.2 + 0.01 * i), m.plus_bc())
+        assert m.boundary_field_vector.cache_info().nbytes <= m.FIELD_CACHE_BYTES
+    assert m.boundary_field_vector.cache_info().nbytes > m.FIELD_CACHE_BYTES // 2
+    m.boundary_field_vector(vol, m.PowerLaw(1.0, 1.2), m.plus_bc())     # evicted
+    assert m.boundary_field_vector.cache_info().misses == 49
+    # a beta-ladder still reads the vector its first rung built
+    from longrange_ising import probes
+    probes.wetting_probe(1.6, 0.0, 4, 256)
+    info = m.boundary_field_vector.cache_info()
+    probes.wetting_probe(1.6, 3.0, 4, 256)
+    assert m.boundary_field_vector.cache_info().misses == info.misses
+    assert m.boundary_field_vector.cache_info().hits > info.hits
+
+
+def test_coupling_matrix_cache_stays_within_its_byte_budget(monkeypatch):
+    m.coupling_matrix.cache_clear()
+    one = m.coupling_matrix(m.Volume(1, 32), m.PowerLaw(1.0, 1.5)).nbytes
+    monkeypatch.setattr(m.coupling_matrix, "max_bytes", 3 * one)
+    for i in range(8):
+        spec = m.PowerLaw(1.0, 1.6 + 0.1 * i)
+        J = m.coupling_matrix(m.Volume(1, 32), spec)
+        assert m.coupling_matrix.cache_info().nbytes <= 3 * one
+        assert m.coupling_matrix(m.Volume(1, 32), spec) is J        # newest is kept
+    assert m.coupling_matrix.cache_info().nbytes == 3 * one
+    # a matrix larger than the whole budget is built but not kept
+    big = m.coupling_matrix(m.Volume(1, 64), m.PowerLaw(1.0, 1.5))
+    assert big.shape == (129, 129)
+    assert m.coupling_matrix.cache_info().nbytes == 3 * one
+    m.coupling_matrix.cache_clear()
+
+
+def test_byte_lru_cache_accounting_survives_threads():
+    import sys
+    import threading
+    from longrange_ising.util import byte_lru_cache
+
+    @byte_lru_cache(10 * 800)
+    def table(k):
+        return np.full(100, float(k))
+
+    wrong = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        wrong.extend(int(k) for k in rng.integers(0, 25, 400) if table(int(k))[0] != k)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+    info = table.cache_info()
+    assert info.hits + info.misses == 8 * 400
+    assert info.nbytes == 10 * 800          # full, and no entry counted twice
+
+
+def test_per_site_field_normalized_to_a_tuple():
+    vol = m.Volume(1, 2)
+    table = [0.1, -0.2, 0.3, 0.0, 0.25]
+    logz = {kind: m.log_partition(vol, m.ModelParams(1.3, m.PowerLaw(1.0, 1.5), field=f),
+                                  m.plus_bc())
+            for kind, f in (("list", table), ("ndarray", np.array(table)),
+                            ("tuple", tuple(table)))}
+    assert logz["list"] == logz["ndarray"] == logz["tuple"]
+    assert m.ModelParams(1.0, m.PowerLaw(1.0, 1.5), field=np.array(table)).field == tuple(table)
+    with pytest.raises(ValueError, match="whole volume"):
+        m.external_field_vector(m.Volume(1, 3), m.ModelParams(1.0, m.PowerLaw(1.0, 1.5),
+                                                              field=table))
 
 
 def test_global_flip_symmetry_exhaustive():

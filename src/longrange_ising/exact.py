@@ -9,7 +9,10 @@ half is tabled once, 2**ceil(n/2) and 2**floor(n/2) rows, and the weights of
 every pairing stream through one GEMM tile of about 16 MiB, folded into sums
 kept relative to their running maximum.  Peak memory does not grow with 2**n;
 the cap stays at 24 free sites, which puts the interface law in reach up to
-L = 11.
+L = 11.  The DLR check streams the same kind of tile, one block of outer
+configurations against every subvolume configuration, and compares it with
+the brute-force quadratic form (_ReducedSystem.log_weights) block by block,
+so it keeps no array over all 2**n configurations either.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import contours, model
-from .util import CapacityError, ENUMERATION_SITE_CAP, iter_spin_blocks, logsumexp
+from .util import CapacityError, ENUMERATION_SITE_CAP, iter_spin_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -226,67 +229,64 @@ def interface_distribution(vol: model.Volume, params: model.ModelParams,
 
 
 def dlr_consistency_check(vol: model.Volume, subvol: model.Volume,
-                          params: model.ModelParams, bc: model.BoundaryCondition,
-                          trials: int = None) -> float:
+                          params: model.ModelParams, bc: model.BoundaryCondition) -> float:
     """Max deviation of kernel(vol) from kernel(vol) composed with kernel(subvol).
 
-    The inner kernel is rebuilt from scratch (couplings to the annulus spins
-    plus the boundary field of the outer condition), so agreement genuinely
-    tests the field machinery against plain enumeration.
+    Streams blocks of outer configurations (the sites of vol outside
+    subvol).  Each block is one log-weight tile, rows x 2**|subvol|, built as
+    the split kernel builds its tiles: each side's own weights from its half
+    table, the cross term from one GEMM.  Its normalized rows are the inner
+    kernel given the outer spins.  The full kernel of the same rows is the
+    brute-force quadratic form (_ReducedSystem.log_weights) over log Z from
+    model.log_partition, and its row sums are the outer marginal.  Both are
+    filled in sub-tiles of bounded size, so memory is one tile plus a fixed
+    working set, never an array over all 2**|vol| configurations unless
+    subvol is vol.
+
+    Both sides read the same coupling matrix and cached field vector, so the
+    check tests the folding of the frozen outer spins into the inner kernel
+    and the normalization, not the field construction.
     """
     if subvol.dimension != vol.dimension or subvol.half_width > vol.half_width:
         raise ValueError("subvolume must sit inside the volume")
     n = vol.n_sites
     if n > ENUMERATION_SITE_CAP:
         raise CapacityError(f"{n} sites exceed the enumeration cap")
-    inner_sites = [s for s in vol.sites() if subvol.contains(s)]
-    outer_sites = [s for s in vol.sites() if not subvol.contains(s)]
-    order = inner_sites + outer_sites          # inner sites on the low bits
-    d = len(inner_sites)
-    idx = np.array([vol.index(s) for s in order], dtype=np.int64)
+    sys = _reduce(vol, params, bc)
+    inner = np.array([vol.index(s) for s in vol.sites() if subvol.contains(s)], dtype=np.int64)
+    outer = np.array([vol.index(s) for s in vol.sites() if not subvol.contains(s)],
+                     dtype=np.int64)
+    log_z = model.log_partition(vol, params, bc)
+    J_DD = sys.J_ff[np.ix_(inner, inner)]
+    J_OO = sys.J_ff[np.ix_(outer, outer)]
+    J_OD = sys.beta * sys.J_ff[np.ix_(outer, inner)]
 
-    J = model.coupling_matrix(vol, params.coupling)[np.ix_(idx, idx)]
-    fields = (model.boundary_field_vector(vol, params.coupling, bc)
-              + model.external_field_vector(vol, params))[idx]
-    beta = params.beta
-
-    # full-kernel probabilities in the permuted layout
-    lw_full = np.empty(1 << n)
-    for start, S in iter_spin_blocks(n):
-        Sf = S.astype(np.float64)
-        E = -0.5 * np.einsum("bi,bi->b", Sf @ J, Sf) - Sf @ fields
-        lw_full[start:start + S.shape[0]] = -beta * E
-    logZ = logsumexp(lw_full)
-    p_full = np.exp(lw_full - logZ)
-
-    # inner kernel built independently: couplings into the annulus plus the
-    # outer boundary field restricted to the subvolume
-    J_dd = J[:d, :d]
-    J_do = J[:d, d:]
-    f_d = np.array([
-        model.boundary_field(vol, params.coupling, bc, s) for s in inner_sites
-    ]) + (model.external_field_vector(vol, params))[ [vol.index(s) for s in inner_sites] ]
-
-    lw_inner = np.empty(1 << n)
-    for start, S in iter_spin_blocks(n):
-        Sf = S.astype(np.float64)
-        Sd, So = Sf[:, :d], Sf[:, d:]
-        E = -0.5 * np.einsum("bi,bi->b", Sd @ J_dd, Sd) \
-            - np.einsum("bi,bi->b", Sd @ J_do, So) - Sd @ f_d
-        lw_inner[start:start + S.shape[0]] = -beta * E
-    shape = (1 << (n - d), 1 << d)
-    lw_inner = lw_inner.reshape(shape)
-    inner_logZ = np.array([logsumexp(r) for r in lw_inner])
-    gamma_inner = np.exp(lw_inner - inner_logZ[:, None])
-
-    marginal = p_full.reshape(shape).sum(axis=1)
-    p_composed = (marginal[:, None] * gamma_inner).ravel()
-
-    if trials is not None and trials < p_full.size:
-        rng = np.random.default_rng(0)
-        pick = rng.choice(p_full.size, size=trials, replace=False)
-        return float(np.max(np.abs(p_composed[pick] - p_full[pick])))
-    return float(np.max(np.abs(p_composed - p_full)))
+    # configurations per sub-tile: their int8 spins, two float copies in
+    # log_weights and a few float rows stay within TILE_BYTES
+    chunk = max(1, model.TILE_BYTES // (24 * (n + 1)))
+    cols = 1 << inner.size
+    rows = min(max(1, chunk // cols), 1 << outer.size)
+    worst = 0.0
+    for _, SO8 in iter_spin_blocks(outer.size, rows):
+        SO, lwO = model._half_table(J_OO, sys.c_f[outer], sys.beta, SO8)
+        T = np.empty((SO8.shape[0], cols))         # split-kernel log weights
+        lw = np.empty_like(T)                      # brute-force log weights
+        for start, SD8 in iter_spin_blocks(inner.size, min(cols, chunk)):
+            SD, lwD = model._half_table(J_DD, sys.c_f[inner], sys.beta, SD8)
+            block = slice(start, start + SD8.shape[0])
+            T[:, block] = SO @ J_OD @ SD.T + lwD + lwO[:, None]
+            S = np.empty((SO8.shape[0], SD8.shape[0], n), dtype=np.int8)
+            S[:, :, inner] = SD8
+            S[:, :, outer] = SO8[:, None, :]
+            lw[:, block] = sys.log_weights(S.reshape(-1, n)).reshape(SO8.shape[0], -1)
+        T -= T.max(axis=1, keepdims=True)
+        np.exp(T, out=T)
+        T /= T.sum(axis=1, keepdims=True)          # inner kernel given the outer spins
+        p = np.exp(lw - log_z, out=lw)
+        T *= p.sum(axis=1, keepdims=True)
+        T -= p
+        worst = max(worst, float(np.abs(T).max()))
+    return worst
 
 
 def _assert_nonnegative_environment(params, bc):
@@ -310,12 +310,12 @@ def gks_check(vol: model.Volume, params: model.ModelParams,
               bc: model.BoundaryCondition, pairs: Sequence) -> float:
     """Min slack of the Griffiths inequalities <ss> - <s><s> >= 0, <s> >= 0."""
     _assert_nonnegative_environment(params, bc)
-    slack = np.inf
-    means = conditional_site_means(vol, params, bc)
+    sums = _reduce(vol, params, bc).sums(second=True)
+    mean = sums.mean
+    slack = min(mean)
     for x, y in pairs:
-        pp = expectation(vol, params, bc, pair_observable(vol, x, y))
-        slack = min(slack, pp - means[x] * means[y])
-    slack = min(slack, min(means.values()))
+        i, j = vol.index(x), vol.index(y)
+        slack = min(slack, sums.second[i, j] - mean[i] * mean[j])
     return float(slack)
 
 
@@ -327,28 +327,3 @@ def fkg_sandwich_check(vol: model.Volume, params: model.ModelParams,
     hi = expectation(vol, params, model.plus_bc(), obs)
     mid = expectation(vol, params, bc, obs)
     return bool(lo - tol <= mid <= hi + tol)
-
-
-def percus_inequality_check(vol: model.Volume, coupling: model.AnisotropicAxes,
-                            beta: float, tol: float = 1e-12) -> tuple:
-    """Line-0 magnetizations under split boundaries versus the decoupled
-    plus-boundary chain at the same temperature.
-
-    Returns (2d line-0 means, 1d chain means, inequality verdict).
-    """
-    if vol.dimension != 2:
-        raise ValueError("needs a 2d volume")
-    if not isinstance(coupling, model.AnisotropicAxes):
-        raise ValueError("needs axis couplings")
-    if vol.n_sites > ENUMERATION_SITE_CAP:
-        raise CapacityError("joint enumeration needs a tiny box (<= 24 sites)")
-    params2 = model.ModelParams(beta, coupling)
-    means2 = conditional_site_means(vol, params2, model.dobrushin2d_bc(0))
-    line0 = {x: means2[(x, 0)] for x in range(-vol.half_width, vol.half_width + 1)}
-
-    chain_vol = model.Volume(1, vol.half_width)
-    params1 = model.ModelParams(beta, model.PowerLaw(1.0, coupling.horizontal_alpha))
-    chain = conditional_site_means(chain_vol, params1, model.plus_bc())
-
-    ok = all(line0[x] >= chain[x] - tol for x in line0)
-    return line0, chain, ok

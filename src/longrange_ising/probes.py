@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exact, mcmc, model
-from .util import canonical_json, loglog_slope
+from .util import canonical_json, iter_spin_blocks, loglog_slope
 
 #: Replicas used by every mcmc-backed probe (mixed initial conditions).
 MCMC_REPLICAS = 8
@@ -382,10 +382,11 @@ def percus_transform(coupling: model.AnisotropicAxes, vol: model.Volume) -> dict
     """Rewrite the joint system (2d split boundaries + decoupled plus chain)
     in sum/difference variables indexed by the closed upper half-plane.
 
-    Returns the pair-coupling tables and single-site terms, plus a validity
-    report: nonnegativity of every coefficient, absence of cross terms, the
-    16-case identity table, and the worst deviation of the rewritten
-    Hamiltonian from H_2d + H_chain over all joint states of the box.
+    Returns the pair-coupling tables, single-site terms and constant, plus a
+    validity report: nonnegativity of every coefficient, absence of cross
+    terms, the 16-case identity table, and the worst deviation of the
+    rewritten Hamiltonian from H_2d + H_chain over all joint states of the
+    box.
     """
     if not isinstance(coupling, model.AnisotropicAxes):
         raise ValueError("duplicate transform needs axis couplings")
@@ -480,43 +481,56 @@ def percus_transform(coupling: model.AnisotropicAxes, vol: model.Volume) -> dict
     coefficients = np.concatenate([ss.ravel(), tt.ravel(), st.ravel(), lin_s, lin_t])
     min_coeff = float(coefficients.min()) if coefficients.size else 0.0
 
-    # worst deviation of the rewritten form over every joint state
-    dev = None
-    if vol.n_sites + chain_vol.n_sites <= 20:
-        dev = 0.0
-        params2 = model.ModelParams(1.0, coupling)
-        params1 = model.ModelParams(1.0, chain_spec)
-        import itertools
-        for bits2 in itertools.product((-1, 1), repeat=vol.n_sites):
-            sigma = np.array(bits2, dtype=np.int8)
-            H2 = model.hamiltonian(vol, params2, bc2, sigma)
-            for bits1 in itertools.product((-1, 1), repeat=chain_vol.n_sites):
-                sigma1 = np.array(bits1, dtype=np.int8)
-                H1 = model.hamiltonian(chain_vol, params1, model.plus_bc(), sigma1)
-                svec = np.zeros(nlab)
-                tvec = np.zeros(nlab)
-                for lab, site in enumerate(labels):
-                    if site[1] > 0:
-                        a = sigma[vol.index(site)]
-                        b = sigma[vol.index(_mirror(site))]
-                    else:
-                        a = sigma[vol.index(site)]
-                        b = sigma1[chain_vol.index(site[0])]
-                    svec[lab] = a + b
-                    tvec[lab] = a - b
-                H_st = -(0.5 * svec @ (ss @ svec) + 0.5 * tvec @ (tt @ tvec)
-                         + svec @ (st @ tvec)
-                         + lin_s @ svec + lin_t @ tvec) + const
-                dev = max(dev, abs(H_st - (H2 + H1)))
-
-    return {
+    out = {
         "labels": labels,
-        "ss": ss, "tt": tt, "st": st, "lin_s": lin_s, "lin_t": lin_t,
+        "ss": ss, "tt": tt, "st": st, "lin_s": lin_s, "lin_t": lin_t, "constant": const,
         "identity_table_ok": duplicate_identity_table(),
         "min_coefficient": min_coeff,
-        "hamiltonian_deviation": None if dev is None else float(dev),
+        "hamiltonian_deviation": None,
         "couplings_nonnegative": bool(min_coeff >= -1e-12),
     }
+    # worst deviation of the rewritten form over every joint state
+    if vol.n_sites + chain_vol.n_sites <= 20:
+        H_st, H = _duplicate_energies(coupling, vol, out)
+        out["hamiltonian_deviation"] = float(np.max(np.abs(H_st - H)))
+    return out
+
+
+def _all_hamiltonians(vol: model.Volume, spec: model.CouplingSpec,
+                      bc: model.BoundaryCondition) -> tuple:
+    """Every configuration of a small volume as float rows (bit b of the row
+    index is site b, as in iter_spin_blocks) and H of each, one batched
+    quadratic form."""
+    S = np.concatenate([B for _, B in iter_spin_blocks(vol.n_sites)]).astype(np.float64)
+    J = model.coupling_matrix(vol, spec)
+    h = model.boundary_field_vector(vol, spec, bc)
+    return S, -0.5 * np.einsum("ki,ki->k", S @ J, S) - S @ h
+
+
+def _duplicate_energies(coupling: model.AnisotropicAxes, vol: model.Volume,
+                        out: dict) -> tuple:
+    """The rewritten form of `out` (a percus_transform result) and
+    H_2d + H_chain over every joint state, as (2**n2, 2**n1) grids: row i
+    and column j are the 2d and chain configurations in iter_spin_blocks
+    order."""
+    chain_vol = model.Volume(1, vol.half_width)
+    S2, H2 = _all_hamiltonians(vol, coupling, model.dobrushin2d_bc(0))
+    S1, H1 = _all_hamiltonians(chain_vol, model.PowerLaw(1.0, coupling.horizontal_alpha),
+                               model.plus_bc())
+    labels = out["labels"]
+    upper = [site for site in labels if site[1] > 0]       # labels list these first
+    grid = (S2.shape[0], S1.shape[0])
+    a = S2[:, [vol.index(site) for site in labels]][:, None, :]
+    b_upper = S2[:, [vol.index(_mirror(site)) for site in upper]]
+    b_line = S1[:, [chain_vol.index(site[0]) for site in labels[len(upper):]]]
+    b = np.concatenate([np.broadcast_to(b_upper[:, None, :], grid + b_upper.shape[1:]),
+                        np.broadcast_to(b_line[None, :, :], grid + b_line.shape[1:])], axis=2)
+    s, t = a + b, a - b
+    H_st = -(0.5 * np.einsum("xyi,ij,xyj->xy", s, out["ss"], s)
+             + 0.5 * np.einsum("xyi,ij,xyj->xy", t, out["tt"], t)
+             + np.einsum("xyi,ij,xyj->xy", s, out["st"], t)
+             + s @ out["lin_s"] + t @ out["lin_t"]) + out["constant"]
+    return H_st, H2[:, None] + H1[None, :]
 
 
 def rigidity_check(alpha1: float, vertical="nn", beta: float = 3.0, L: int = 1,

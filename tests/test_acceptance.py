@@ -16,8 +16,9 @@ from longrange_ising import exact as ex
 from longrange_ising import mcmc
 from longrange_ising import model as m
 from longrange_ising import probes
+from longrange_ising import verify
 from longrange_ising.exact import _reduce
-from longrange_ising.util import logsumexp
+from longrange_ising.util import iter_spin_blocks
 
 
 def _report(number, label, ok, started, limit_s):
@@ -45,15 +46,11 @@ def test_criterion_1_normalization_and_dlr():
                 params = m.ModelParams(beta, m.PowerLaw(1.0, alpha))
                 for make_bc in FOUR_BCS.values():
                     bc = make_bc()
+                    # brute-force weights over the split kernel's log Z
                     sys_ = _reduce(vol, params, bc, {})
-                    parts, blocks = [], []
-                    from longrange_ising.util import iter_spin_blocks
-                    for _, S in iter_spin_blocks(vol.n_sites):
-                        lw = sys_.log_weights(S)
-                        parts.append(logsumexp(lw))
-                        blocks.append(lw)
-                    logZ = logsumexp(np.asarray(parts))
-                    total = sum(float(np.sum(np.exp(lw - logZ))) for lw in blocks)
+                    logZ = m.log_partition(vol, params, bc)
+                    total = sum(float(np.sum(np.exp(sys_.log_weights(S) - logZ)))
+                                for _, S in iter_spin_blocks(vol.n_sites))
                     worst_norm = max(worst_norm, abs(total - 1.0))
                     worst_dlr = max(worst_dlr, ex.dlr_consistency_check(
                         vol, sub, params, bc))
@@ -179,25 +176,12 @@ def test_criterion_5_sampler_oracle():
             miss = abs(est.mean - truth)
             ok = ok and est.stderr < 0.01 and miss <= 4.0 * max(est.stderr, 2.5e-4)
             details.append(miss / max(est.stderr, 2.5e-4))
-    # detailed-balance spot check
-    vol = m.Volume(1, 2)
-    params = m.ModelParams(0.9, m.PowerLaw(1.0, 1.5))
-    bc = m.alternating_bc()
-    rng = np.random.default_rng(11)
-    st = mcmc.sampler_new(vol, params, bc, seed=1)
-    for _ in range(50):
-        cfg = m.random_configuration(vol, rng)
-        site = int(rng.integers(-2, 3))
-        st.config = cfg.copy()
-        st.resync()
-        pi1, fwd = m.specification_kernel(vol, params, bc, cfg), mcmc.flip_probability(st, site)
-        cfg2 = cfg.copy()
-        cfg2[vol.index(site)] *= -1
-        st.config = cfg2
-        st.resync()
-        pi2, bwd = m.specification_kernel(vol, params, bc, cfg2), mcmc.flip_probability(st, site)
-        ok = ok and abs(pi1 * fwd - pi2 * bwd) <= 1e-12
-    _report(5, f"10 settings within 4se (worst {max(details):.1f}se), balance exact",
+    # detailed-balance spot check, as registered for `verify`
+    checks = {name: fn for name, _, fn in verify.CHECKS}
+    balance_ok, balance = checks["detailed-balance"]()
+    ok = ok and balance_ok
+    _report(5, f"10 settings within 4se (worst {max(details):.1f}se), balance exact "
+               f"({balance})",
             ok, started, 300)
 
 

@@ -3,6 +3,7 @@ consistency checks, correlation inequalities."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from longrange_ising import contours as ct
 from longrange_ising import exact as ex
 from longrange_ising import model as m
+from longrange_ising import probes
 from longrange_ising.util import CapacityError, iter_spin_blocks, logsumexp
 
 
@@ -287,6 +289,20 @@ def test_dlr_nested_14_sites():
     assert dev <= 1e-10
 
 
+def test_dlr_memory_bounded():
+    # n = 19: each float array over all 2**19 configurations would take 4 MiB
+    params = m.ModelParams(1.0, m.PowerLaw(1.0, 1.5))
+    tracemalloc.start()
+    try:
+        dev = ex.dlr_consistency_check(m.Volume(1, 9), m.Volume(1, 4), params,
+                                       m.alternating_bc())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dev <= 1e-10
+    assert peak < 16 << 20
+
+
 def test_dlr_rejects_bad_nesting():
     params = m.ModelParams(1.0, m.PowerLaw(1.0, 1.5))
     with pytest.raises(ValueError):
@@ -349,17 +365,16 @@ def test_fkg_randomized_battery():
 
 
 def test_duplicate_inequality_beta_zero():
-    line0, chain, ok = ex.percus_inequality_check(
-        m.Volume(2, 1), m.AnisotropicAxes(1.5, "nn"), 0.0)
-    assert ok
-    for v in list(line0.values()) + list(chain.values()):
-        assert v == pytest.approx(0.0, abs=1e-13)
+    r = probes.rigidity_check(1.5, "nn", 0.0, 1)
+    assert r.verdicts["inequality"]
+    for x in (-1, 0, 1):
+        assert r.value(f"line0[{x}]") == pytest.approx(0.0, abs=1e-13)
+        assert r.value(f"chain[{x}]") == pytest.approx(0.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("beta", [2.0, 4.0])
 def test_duplicate_inequality_ordered(beta):
-    line0, chain, ok = ex.percus_inequality_check(
-        m.Volume(2, 1), m.AnisotropicAxes(1.5, "nn"), beta)
-    assert ok
+    r = probes.rigidity_check(1.5, "nn", beta, 1)
+    assert r.verdicts["inequality"]
     if beta >= 4.0:
-        assert all(v > 0 for v in line0.values())
+        assert r.verdicts["line0_positive"]

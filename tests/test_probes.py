@@ -248,6 +248,26 @@ def test_percus_transform_power_law_vertical():
     assert out["hamiltonian_deviation"] <= 1e-9
 
 
+@pytest.mark.parametrize("vertical", ["nn", 2.2])
+def test_percus_energies_match_hamiltonian(vertical):
+    coupling = m.AnisotropicAxes(1.5, vertical)
+    vol, chain_vol = m.Volume(2, 1), m.Volume(1, 1)
+    out = probes.percus_transform(coupling, vol)
+    H_st, H = probes._duplicate_energies(coupling, vol, out)
+    assert H.shape == (1 << vol.n_sites, 1 << chain_vol.n_sites)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        i, j = int(rng.integers(H.shape[0])), int(rng.integers(H.shape[1]))
+        sigma = 1 - 2 * ((i >> np.arange(vol.n_sites)) & 1)
+        sigma1 = 1 - 2 * ((j >> np.arange(chain_vol.n_sites)) & 1)
+        want = (m.hamiltonian(vol, m.ModelParams(1.0, coupling), m.dobrushin2d_bc(0), sigma)
+                + m.hamiltonian(chain_vol, m.ModelParams(1.0, m.PowerLaw(1.0, 1.5)),
+                                m.plus_bc(), sigma1))
+        assert H[i, j] == pytest.approx(want, abs=1e-12)
+        assert H_st[i, j] == pytest.approx(want, abs=1e-12)
+    assert out["hamiltonian_deviation"] == float(np.max(np.abs(H_st - H)))
+
+
 def test_percus_transform_rejects_other_families():
     with pytest.raises(ValueError):
         probes.percus_transform(m.PowerLaw(1.0, 2.5), m.Volume(2, 1))

@@ -1,9 +1,17 @@
 """Single-spin Metropolis and heat-bath samplers for long-range couplings.
 
-Coupling rows and boundary fields are precomputed once; every accepted flip
-updates all cached local fields (O(N) per flip, row-major streaming).  The
-RNG is counter-based (Philox) and seeded through SeedSequence, so replica
-streams are reproducible and adding replicas never perturbs existing ones.
+The sampler reads the shared coupling table (`model.coupling_matrix`) and
+the boundary fields once and caches every site's local field h.  A sweep
+visits the free sites in index order, as a sequential single-site sweep
+does, but it is event-driven.  The sweep's uniforms are drawn at once and
+each becomes a threshold t: the site with spin s changes iff s*h < t.  One
+vectorized pass over the rest of the sweep finds the next site that
+changes; its flip updates the energy and every cached field (one coupling
+row), and the scan resumes after it.  The first change under the current
+fields is the sequential sweep's next change, so the Markov chain is the
+same, and a sweep costs (flips + 1) passes.  The RNG is counter-based
+(Philox) and seeded through SeedSequence, so replica streams are
+reproducible and adding replicas never perturbs existing ones.
 """
 
 from __future__ import annotations
@@ -23,22 +31,28 @@ MAX_TABLE_BYTES = 1 << 30
 #: Hard cap on sampler sites regardless of memory.
 MAX_SAMPLER_SITES = 1 << 16
 
-
 @dataclass
 class SamplerState:
-    """Mutable sampler: current spins, cached local fields, seeded RNG."""
+    """Mutable sampler: current spins, cached local fields, seeded RNG.
+
+    `flips` counts accepted moves and `max_drift` is the largest gap between
+    the cached and the recomputed energy seen at a `resync`; both are
+    telemetry and stay out of every deterministic payload.
+    """
 
     vol: model.Volume
     params: model.ModelParams
     bc: model.BoundaryCondition
     config: np.ndarray
-    couplings: np.ndarray          # dense symmetric table, zero diagonal
+    couplings: np.ndarray          # shared read-only table, zero diagonal
     static_fields: np.ndarray      # boundary + external field per site
     fields: np.ndarray             # static + sum_y J_xy sigma_y
     energy: float
     rng: np.random.Generator
     free_index: np.ndarray
     sweeps: int = 0
+    flips: int = 0
+    max_drift: float = 0.0
 
     def total_energy(self) -> float:
         """Recomputed Hamiltonian (oracle for the cached value)."""
@@ -48,14 +62,16 @@ class SamplerState:
     def resync(self) -> None:
         s = self.config.astype(np.float64)
         self.fields = self.couplings @ s + self.static_fields
-        self.energy = self.total_energy()
+        energy = self.total_energy()
+        self.max_drift = max(self.max_drift, abs(self.energy - energy))
+        self.energy = energy
 
 
 def sampler_new(vol: model.Volume, params: model.ModelParams,
                 bc: model.BoundaryCondition, seed: int, initial: str = "plus",
                 frozen: Mapping = None,
                 max_table_bytes: int = MAX_TABLE_BYTES) -> SamplerState:
-    """Build a sampler with precomputed coupling table and boundary fields."""
+    """Build a sampler over the shared coupling table and boundary fields."""
     n = vol.n_sites
     if n > MAX_SAMPLER_SITES:
         raise CapacityError(f"{n} sites exceed the {MAX_SAMPLER_SITES}-site sampler cap")
@@ -63,10 +79,8 @@ def sampler_new(vol: model.Volume, params: model.ModelParams,
         raise CapacityError(
             f"coupling table would need {8 * n * n} bytes (cap {max_table_bytes})"
         )
-    J = np.empty((n, n), dtype=np.float64)
-    for i, x in enumerate(vol.sites()):
-        J[i] = model.coupling_row(vol, params.coupling, x)
-    static = model.boundary_field_vector(vol, params.coupling, bc).copy() \
+    J = model.coupling_matrix(vol, params.coupling)
+    static = model.boundary_field_vector(vol, params.coupling, bc) \
         + model.external_field_vector(vol, params)
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -88,32 +102,49 @@ def sampler_new(vol: model.Volume, params: model.ModelParams,
     state = SamplerState(vol, params, bc, cfg, J, static,
                          np.zeros(n), 0.0, rng, free_index)
     state.resync()
+    state.max_drift = 0.0          # the first sync fills an empty cache
     return state
 
 
+def _thresholds(u: np.ndarray, beta: float, rule: str) -> np.ndarray:
+    """Map uniforms u in [0, 1) to thresholds t: a site with spin s and
+    local field h changes iff s*h < t, which happens with probability
+    min(1, exp(-2 beta s h)) (Metropolis) or 1/(1 + exp(2 beta s h))
+    (heat bath).  At beta = 0 Metropolis flips every site and heat bath
+    changes a site iff u < 1/2."""
+    if beta == 0.0:
+        if rule == "metropolis":
+            return np.full(u.shape, np.inf)
+        return np.where(u < 0.5, np.inf, -np.inf)
+    with np.errstate(divide="ignore"):          # u = 0 maps to +inf
+        if rule == "metropolis":
+            return -np.log(u) / (2.0 * beta)
+        return (np.log1p(-u) - np.log(u)) / (2.0 * beta)
+
+
 def sweep(state: SamplerState, rule: str = "metropolis") -> SamplerState:
-    """One pass of single-site updates over the free sites."""
-    beta = state.params.beta
+    """One pass of single-site updates over the free sites, in index order."""
+    if rule not in ("metropolis", "heat_bath"):
+        raise ValueError("rule must be metropolis or heat_bath")
+    free = state.free_index
+    t = _thresholds(state.rng.random(free.size), state.params.beta, rule)
     cfg = state.config
     fields = state.fields
     J = state.couplings
-    rng = state.rng
-    if rule not in ("metropolis", "heat_bath"):
-        raise ValueError("rule must be metropolis or heat_bath")
-    for i in state.free_index:
+    k = 0
+    while k < free.size:
+        rest = free[k:]
+        changes = cfg[rest] * fields[rest] < t[k:]
+        j = int(changes.argmax())
+        if not changes[j]:
+            break
+        i = rest[j]
         s = cfg[i]
-        h = fields[i]
-        if rule == "metropolis":
-            dE = 2.0 * s * h
-            flip = dE <= 0.0 or rng.random() < math.exp(-beta * dE)
-            new = -s if flip else s
-        else:
-            p_plus = 1.0 / (1.0 + math.exp(-2.0 * beta * h)) if beta * h > -350 else 0.0
-            new = 1 if rng.random() < p_plus else -1
-        if new != s:
-            cfg[i] = new
-            state.energy += 2.0 * s * h
-            fields += (new - s) * J[i]
+        state.energy += 2.0 * s * fields[i]
+        fields -= (2.0 * s) * J[i]
+        cfg[i] = -s
+        state.flips += 1
+        k += j + 1
     state.sweeps += 1
     return state
 
@@ -213,10 +244,13 @@ def estimate_site_means(state: SamplerState, sites: Sequence, n_sweeps: int,
     return out
 
 
-def replica_seeds(master_seed: int, n_replicas: int) -> list:
+def replica_seeds(master_seed: int, n_replicas: int, key: tuple = ()) -> list:
     """Stable per-replica seeds: extending the replica count never changes
-    the streams already assigned."""
-    children = np.random.SeedSequence(master_seed).spawn(n_replicas)
+    the streams already assigned.  `key` is a SeedSequence spawn key that
+    names one family of streams under the master seed (key () is the
+    master's own family).  Parts of one run take distinct keys, not shifted
+    master seeds such as seed + 1, which are other runs' streams."""
+    children = np.random.SeedSequence(master_seed, spawn_key=key).spawn(n_replicas)
     return [int(c.generate_state(1)[0]) for c in children]
 
 

@@ -21,6 +21,15 @@ MCMC_REPLICAS = 8
 
 _INITIAL_CYCLE = ("plus", "minus", "random")
 
+#: First spawn-key entry of each sampled probe's streams.  The second entry
+#: is 0 on the plus side (plus neighborhood or past, interval frozen to
+#: plus) and 1 on the minus side, so no two runs share a stream.
+_STREAM_KEYS = {"decimation": 1, "g_measure": 2, "wetting": 3}
+
+
+def _stream_key(probe: str, sign: int) -> tuple:
+    return (_STREAM_KEYS[probe], 0 if sign > 0 else 1)
+
 
 @dataclass(frozen=True)
 class Scalar:
@@ -60,9 +69,10 @@ class ProbeReport:
         })
 
 
-def _mcmc_mean(vol, params, bc, obs, seed, n_sweeps, burn_in, frozen=None) -> tuple:
+def _mcmc_mean(vol, params, bc, obs, seed, n_sweeps, burn_in, frozen=None,
+               key: tuple = ()) -> tuple:
     """Replica-averaged estimate plus the list of per-replica estimates."""
-    seeds = mcmc.replica_seeds(seed, MCMC_REPLICAS)
+    seeds = mcmc.replica_seeds(seed, MCMC_REPLICAS, key)
     parts = []
     for r, s in enumerate(seeds):
         st = mcmc.sampler_new(vol, params, bc, s,
@@ -128,8 +138,8 @@ def decimation_probe(alpha: float, beta: float, L: int, method: str = "exact",
             raw[sign] = exact.conditional_expectation(vol, params, bc, frozen, obs)
             report.add_exact(f"m_{tag}_raw", raw[sign])
         else:
-            est, _ = _mcmc_mean(vol, params, bc, obs, seed + (0 if sign > 0 else 1),
-                                n_sweeps, burn_in, frozen=frozen)
+            est, _ = _mcmc_mean(vol, params, bc, obs, seed, n_sweeps, burn_in,
+                                frozen=frozen, key=_stream_key("decimation", sign))
             raw[sign] = est.mean
             report.add_mcmc(f"m_{tag}_raw", est)
             raw[f"se{sign}"] = est.stderr
@@ -201,8 +211,8 @@ def g_probe(alpha: float, beta: float, L: int, method: str = "exact",
             values[sign] = exact.expectation(vol, params, model.free_bc(), obs)
             report.add_exact(f"m_{tag}", values[sign])
         else:
-            est, _ = _mcmc_mean(vol, params, model.free_bc(), obs,
-                                seed + (0 if sign > 0 else 1), n_sweeps, burn_in)
+            est, _ = _mcmc_mean(vol, params, model.free_bc(), obs, seed, n_sweeps,
+                                burn_in, key=_stream_key("g_measure", sign))
             values[sign] = est.mean
             report.add_mcmc(f"m_{tag}", est)
             values[f"se{sign}"] = est.stderr
@@ -265,7 +275,8 @@ def wetting_probe(alpha: float, beta: float, L: int, N: int,
         est_p = {}
         for s in window_sites + [far_site]:
             est, _ = _mcmc_mean(vol, params, bc, exact.spin_observable(vol, s),
-                                seed, n_sweeps, burn_in, frozen=frozen_minus)
+                                seed, n_sweeps, burn_in, frozen=frozen_minus,
+                                key=_stream_key("wetting", -1))
             est_p[s] = est
             if s != far_site:
                 report.add_mcmc(f"profile[{s}]", est)
@@ -275,7 +286,8 @@ def wetting_probe(alpha: float, beta: float, L: int, N: int,
         report.scalars["min_window"] = Scalar(vals[worst], "mcmc",
                                               est_p[worst].stderr)
         ref, _ = _mcmc_mean(vol, params, bc, exact.spin_observable(vol, 0),
-                            seed + 1, n_sweeps, burn_in, frozen=frozen_plus)
+                            seed, n_sweeps, burn_in, frozen=frozen_plus,
+                            key=_stream_key("wetting", 1))
         report.add_mcmc("m_plus_phase", ref)
     if beta == 0:
         report.verdicts["profile_zero"] = bool(

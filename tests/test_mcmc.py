@@ -189,3 +189,115 @@ def test_estimate_site_means_consistent():
         est = out[s]
         assert est.stderr > 1e-4
         assert abs(est.mean - truth) <= 4.0 * est.stderr
+
+
+def _sequential_sweep(state, u, rule):
+    """Reference sweep: visit the free sites one at a time in index order
+    and change site i iff u < P(s h), read from the same uniforms."""
+    beta = state.params.beta
+    for k, i in enumerate(state.free_index):
+        s = state.config[i]
+        h = state.fields[i]
+        x = 2.0 * beta * s * h
+        if rule == "metropolis":
+            change = x <= 0.0 or u[k] < math.exp(-x)
+        elif beta == 0.0:
+            change = u[k] < 0.5
+        else:
+            change = x < 700.0 and u[k] < 1.0 / (1.0 + math.exp(x))
+        if change:
+            state.energy += 2.0 * s * h
+            state.fields -= (2.0 * s) * state.couplings[i]
+            state.config[i] = -s
+            state.flips += 1
+
+
+KERNEL_SETTINGS = {
+    "frozen": (m.Volume(1, 6), m.ModelParams(1.2, m.PowerLaw(1.0, 1.5)), m.plus_bc(),
+               {-6: -1, 0: 1, 4: -1}),
+    "beta0": (m.Volume(1, 4), m.ModelParams(0.0, m.PowerLaw(1.0, 1.5)), m.plus_bc(), None),
+    "hot": (m.Volume(1, 5), m.ModelParams(0.05, m.PowerLaw(1.0, 1.6)),
+            m.alternating_bc(), None),
+    "ordered2d": (m.Volume(2, 2), m.ModelParams(3.0, m.AnisotropicAxes(1.5, "nn")),
+                  m.dobrushin2d_bc(0), None),
+}
+
+
+@pytest.mark.parametrize("rule", ["metropolis", "heat_bath"])
+@pytest.mark.parametrize("setting", sorted(KERNEL_SETTINGS))
+def test_sweep_matches_sequential_loop(setting, rule):
+    vol, params, bc, frozen = KERNEL_SETTINGS[setting]
+    fast, ref = (mcmc.sampler_new(vol, params, bc, seed=17, initial="random",
+                                  frozen=frozen) for _ in range(2))
+    for _ in range(250):
+        mcmc.sweep(fast, rule)
+        _sequential_sweep(ref, ref.rng.random(ref.free_index.size), rule)
+        assert np.array_equal(fast.config, ref.config)
+        assert fast.energy == ref.energy
+        assert np.array_equal(fast.fields, ref.fields)
+    assert fast.flips == ref.flips > 0
+    if setting in ("beta0", "hot"):
+        assert fast.flips > 0.3 * 250 * fast.free_index.size
+
+
+class _FixedUniforms:
+    """Stands in for the sampler's generator: hands out given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("rule", ["metropolis", "heat_bath"])
+def test_sweep_decision_flips_at_flip_probability(rule):
+    vol = m.Volume(1, 0)                          # one site, field = s h
+    checked = 0
+    for beta in (0.0, 0.4, 1.3):
+        for f in np.linspace(-1.5, 1.5, 13):
+            params = m.ModelParams(beta, m.PowerLaw(1.0, 1.5), field=float(f))
+            for initial in ("plus", "minus"):
+                st = mcmc.sampler_new(vol, params, m.free_bc(), seed=0, initial=initial)
+                p = mcmc.flip_probability(st, 0, rule)
+                for u, want in ((p - 1e-9, True), (p + 1e-9, False)):
+                    if not 0.0 <= u < 1.0:
+                        continue
+                    st = mcmc.sampler_new(vol, params, m.free_bc(), seed=0,
+                                          initial=initial)
+                    s = st.config[0]
+                    st.rng = _FixedUniforms([u])
+                    mcmc.sweep(st, rule)
+                    assert (st.config[0] != s) == want, (beta, f, initial, u, p)
+                    checked += 1
+    assert checked > 100
+
+
+def test_flip_counter_and_resync_drift():
+    vol = m.Volume(1, 5)
+    params = m.ModelParams(0.4, m.PowerLaw(1.0, 1.5))
+    st = mcmc.sampler_new(vol, params, m.alternating_bc(), seed=9, initial="random",
+                          frozen={2: 1})
+    assert st.flips == 0 and st.max_drift == 0.0
+    changed = 0
+    for _ in range(300):
+        before = st.config.copy()
+        mcmc.sweep(st)
+        changed += int((before != st.config).sum())
+    assert st.flips == changed > 0
+    st.resync()
+    assert 0.0 <= st.max_drift < 1e-9
+    st.energy += 0.25
+    st.resync()
+    assert st.max_drift == pytest.approx(0.25, abs=1e-9)
+    assert st.energy == st.total_energy()
+
+
+def test_sampler_reads_the_shared_coupling_table():
+    vol = m.Volume(2, 2)
+    spec = m.AnisotropicAxes(1.5, "nn")
+    st = mcmc.sampler_new(vol, m.ModelParams(1.0, spec), m.plus_bc(), seed=0)
+    assert st.couplings is m.coupling_matrix(vol, spec)
+    rows = np.stack([m.coupling_row(vol, spec, x) for x in vol.sites()])
+    assert np.array_equal(st.couplings, rows)

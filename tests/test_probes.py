@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from longrange_ising import exact as ex
+from longrange_ising import mcmc
 from longrange_ising import model as m
 from longrange_ising import probes
 
@@ -70,6 +71,27 @@ def test_decimation_mcmc_agrees_with_exact():
     se = mc.scalars["gap"].stderr
     assert abs(mc.value("gap") - exact_r.value("gap")) <= 4.0 * se
     assert "resolved" in mc.verdicts
+
+
+def test_decimation_streams_do_not_overlap_across_seeds(monkeypatch):
+    """Seed 0's minus run used to draw seed 1's plus streams (seed + 1)."""
+    drawn = {}
+    real = mcmc.sampler_new
+
+    def recording(vol, params, bc, seed, *args, **kwargs):
+        drawn.setdefault(bc.name, set()).add(seed)
+        return real(vol, params, bc, seed, *args, **kwargs)
+
+    monkeypatch.setattr(mcmc, "sampler_new", recording)
+    seeds = {}
+    for master in (0, 1):
+        drawn = {}
+        probes.decimation_probe(1.5, 1.0, 1, method="mcmc", seed=master,
+                                n_sweeps=20, burn_in=5)
+        seeds[master] = drawn
+    assert len(seeds[0]["minus"]) == len(seeds[1]["plus"]) == probes.MCMC_REPLICAS
+    assert not seeds[0]["minus"] & seeds[1]["plus"]
+    assert not seeds[0]["plus"] & seeds[0]["minus"]
 
 
 # ---------------------------------------------------------------------------

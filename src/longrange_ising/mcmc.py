@@ -31,6 +31,8 @@ MAX_TABLE_BYTES = 1 << 30
 #: Hard cap on sampler sites regardless of memory.
 MAX_SAMPLER_SITES = 1 << 16
 
+_SMALLEST = np.nextafter(0.0, 1.0)
+
 @dataclass
 class SamplerState:
     """Mutable sampler: current spins, cached local fields, seeded RNG.
@@ -116,10 +118,12 @@ def _thresholds(u: np.ndarray, beta: float, rule: str) -> np.ndarray:
         if rule == "metropolis":
             return np.full(u.shape, np.inf)
         return np.where(u < 0.5, np.inf, -np.inf)
-    with np.errstate(divide="ignore"):          # u = 0 maps to +inf
-        if rule == "metropolis":
-            return -np.log(u) / (2.0 * beta)
-        return (np.log1p(-u) - np.log(u)) / (2.0 * beta)
+    # a uniform of exactly 0 (probability 2^-53) reads as the smallest
+    # positive double, so the log stays finite without a warning filter
+    log_u = np.log(np.maximum(u, _SMALLEST))
+    if rule == "metropolis":
+        return log_u * (-0.5 / beta)
+    return (np.log1p(-u) - log_u) * (0.5 / beta)
 
 
 def sweep(state: SamplerState, rule: str = "metropolis") -> SamplerState:

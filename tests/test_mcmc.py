@@ -253,7 +253,7 @@ class _FixedUniforms:
 
 @pytest.mark.parametrize("rule", ["metropolis", "heat_bath"])
 def test_sweep_decision_flips_at_flip_probability(rule):
-    vol = m.Volume(1, 0)                          # one site, field = s h
+    vol = m.Volume(1, 0)             # one site under a free boundary: h = field
     checked = 0
     for beta in (0.0, 0.4, 1.3):
         for f in np.linspace(-1.5, 1.5, 13):

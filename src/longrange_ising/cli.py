@@ -244,16 +244,12 @@ def _point_sample(args):
     vol = model.Volume(dim, L)
     params = _params(vol, beta, coupling, field)
     obs = exact.spin_observable(vol, 0 if dim == 1 else (0, 0))
-    seeds = mcmc.replica_seeds(int(cfg.get("seed", 0)), probes.MCMC_REPLICAS)
-    initials = ("plus", "minus", "random")
-    ests = []
-    for r, sd in enumerate(seeds):
-        state = mcmc.sampler_new(vol, params, bc, sd, initial=initials[r % 3])
-        ests.append(mcmc.estimate(state, obs,
-                                  int(sampler_cfg.get("n_sweeps", 20_000)),
-                                  int(sampler_cfg.get("burn_in", 2_000)),
-                                  rule=sampler_cfg.get("rule", "metropolis")))
-    est = mcmc.combine_estimates(ests)
+    n_sweeps = int(sampler_cfg.get("n_sweeps", 20_000))
+    burn_in = int(sampler_cfg.get("burn_in", 2_000))
+    rule = sampler_cfg.get("rule", "metropolis")
+    est = mcmc.combine_estimates(mcmc.replicas(
+        vol, params, bc, int(cfg.get("seed", 0)), probes.MCMC_REPLICAS,
+        lambda st: mcmc.estimate(st, obs, n_sweeps, burn_in, rule=rule)))
     return {"L": L, "beta": beta, "mean_spin_origin": est.mean,
             "stderr": est.stderr, "tau": est.tau, "n_samples": est.n_samples}
 

@@ -12,6 +12,13 @@ fields is the sequential sweep's next change, so the Markov chain is the
 same, and a sweep costs (flips + 1) passes.  The RNG is counter-based
 (Philox) and seeded through SeedSequence, so replica streams are
 reproducible and adding replicas never perturbs existing ones.
+
+`estimate` (one observable) and `estimate_site_means` (many spins from one
+chain) record a chain through one loop and summarize each series with
+blocking error bars and an integrated autocorrelation time.  `replicas` is
+the one replica driver: it seeds chain r from `replica_seeds`, starts it
+plus, minus or random by r mod 3 and runs a caller's estimator on it;
+`combine_estimates` merges the results.
 """
 
 from __future__ import annotations
@@ -23,15 +30,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import model
-from .util import CapacityError
-
-#: Memory budget for the dense coupling table (bytes).
-MAX_TABLE_BYTES = 1 << 30
-
-#: Hard cap on sampler sites regardless of memory.
-MAX_SAMPLER_SITES = 1 << 16
 
 _SMALLEST = np.nextafter(0.0, 1.0)
+
+#: Initial states of replica chains, cycled by replica index.
+_REPLICA_INITIALS = ("plus", "minus", "random")
+
 
 @dataclass
 class SamplerState:
@@ -71,16 +75,10 @@ class SamplerState:
 
 def sampler_new(vol: model.Volume, params: model.ModelParams,
                 bc: model.BoundaryCondition, seed: int, initial: str = "plus",
-                frozen: Mapping = None,
-                max_table_bytes: int = MAX_TABLE_BYTES) -> SamplerState:
-    """Build a sampler over the shared coupling table and boundary fields."""
+                frozen: Mapping = None) -> SamplerState:
+    """Build a sampler over the shared coupling table and boundary fields
+    (the table's `model.MATRIX_SITE_CAP` bounds the volume)."""
     n = vol.n_sites
-    if n > MAX_SAMPLER_SITES:
-        raise CapacityError(f"{n} sites exceed the {MAX_SAMPLER_SITES}-site sampler cap")
-    if 8 * n * n > max_table_bytes:
-        raise CapacityError(
-            f"coupling table would need {8 * n * n} bytes (cap {max_table_bytes})"
-        )
     J = model.coupling_matrix(vol, params.coupling)
     static = model.boundary_field_vector(vol, params.coupling, bc) \
         + model.external_field_vector(vol, params)
@@ -200,6 +198,27 @@ def _blocking_stderr(samples: np.ndarray, n_blocks: int = 32) -> float:
     return float(blocks.std(ddof=1) / math.sqrt(n_blocks))
 
 
+def _chain(state: SamplerState, read, shape: tuple, n_sweeps: int,
+           burn_in: int, rule: str, resync_every: int) -> np.ndarray:
+    """Run n_sweeps sweeps; row t - burn_in holds read(config) after sweep t
+    for every t >= burn_in."""
+    if n_sweeps <= burn_in:
+        raise ValueError("n_sweeps must exceed burn_in")
+    samples = np.empty((n_sweeps - burn_in,) + shape)
+    for t in range(n_sweeps):
+        sweep(state, rule)
+        if t >= burn_in:
+            samples[t - burn_in] = read(state.config)
+        if (t + 1) % resync_every == 0:
+            state.resync()
+    return samples
+
+
+def _summary(samples: np.ndarray) -> Estimate:
+    return Estimate(float(samples.mean()), _blocking_stderr(samples),
+                    _integrated_tau(samples), samples.size)
+
+
 def estimate(state: SamplerState, obs, n_sweeps: int, burn_in: int = None,
              rule: str = "metropolis", resync_every: int = 1000) -> Estimate:
     """Run the chain and estimate <obs> with blocking error bars.
@@ -207,45 +226,23 @@ def estimate(state: SamplerState, obs, n_sweeps: int, burn_in: int = None,
     With burn_in None, the default is ten measured autocorrelation times,
     re-estimated once on the series that survives the first cut.
     """
-    record_from = 0 if burn_in is None else burn_in
-    if n_sweeps <= record_from:
-        raise ValueError("n_sweeps must exceed burn_in")
-    samples = np.empty(n_sweeps - record_from)
-    for t in range(n_sweeps):
-        sweep(state, rule)
-        if t >= record_from:
-            samples[t - record_from] = obs.fn(state.config)
-        if (t + 1) % resync_every == 0:
-            state.resync()
+    samples = _chain(state, obs.fn, (), n_sweeps, burn_in or 0, rule, resync_every)
     if burn_in is None:
         first = min(int(math.ceil(10.0 * _integrated_tau(samples))), samples.size // 2)
         tau2 = _integrated_tau(samples[first:])
         cut = min(max(first, int(math.ceil(10.0 * tau2))), samples.size // 2)
         samples = samples[cut:]
-    return Estimate(float(samples.mean()), _blocking_stderr(samples),
-                    _integrated_tau(samples), samples.size)
+    return _summary(samples)
 
 
 def estimate_site_means(state: SamplerState, sites: Sequence, n_sweeps: int,
                         burn_in: int, rule: str = "metropolis",
                         resync_every: int = 1000) -> dict:
     """Per-site spin estimates from one chain (shared samples)."""
-    if n_sweeps <= burn_in:
-        raise ValueError("n_sweeps must exceed burn_in")
     idx = np.array([state.vol.index(s) for s in sites], dtype=np.int64)
-    samples = np.empty((n_sweeps - burn_in, idx.size))
-    for t in range(n_sweeps):
-        sweep(state, rule)
-        if t >= burn_in:
-            samples[t - burn_in] = state.config[idx]
-        if (t + 1) % resync_every == 0:
-            state.resync()
-    out = {}
-    for j, site in enumerate(sites):
-        col = samples[:, j]
-        out[site] = Estimate(float(col.mean()), _blocking_stderr(col),
-                             _integrated_tau(col), col.size)
-    return out
+    samples = _chain(state, lambda config: config[idx], idx.shape, n_sweeps,
+                     burn_in, rule, resync_every)
+    return {site: _summary(samples[:, j]) for j, site in enumerate(sites)}
 
 
 def replica_seeds(master_seed: int, n_replicas: int, key: tuple = ()) -> list:
@@ -256,6 +253,18 @@ def replica_seeds(master_seed: int, n_replicas: int, key: tuple = ()) -> list:
     master seeds such as seed + 1, which are other runs' streams."""
     children = np.random.SeedSequence(master_seed, spawn_key=key).spawn(n_replicas)
     return [int(c.generate_state(1)[0]) for c in children]
+
+
+def replicas(vol: model.Volume, params: model.ModelParams,
+             bc: model.BoundaryCondition, seed: int, n_replicas: int, run,
+             frozen: Mapping = None, key: tuple = ()) -> list:
+    """run(state) for each of n_replicas chains, in replica order.  Chain r
+    is seeded with replica_seeds(seed, n_replicas, key)[r] and starts plus,
+    minus or random as r mod 3 is 0, 1 or 2, with the `frozen` sites held."""
+    seeds = replica_seeds(seed, n_replicas, key)
+    return [run(sampler_new(vol, params, bc, s, initial=_REPLICA_INITIALS[r % 3],
+                            frozen=frozen))
+            for r, s in enumerate(seeds)]
 
 
 def combine_estimates(estimates: Sequence[Estimate]) -> Estimate:

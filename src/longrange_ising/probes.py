@@ -19,8 +19,6 @@ from .util import canonical_json, iter_spin_blocks, loglog_slope
 #: Replicas used by every mcmc-backed probe (mixed initial conditions).
 MCMC_REPLICAS = 8
 
-_INITIAL_CYCLE = ("plus", "minus", "random")
-
 #: First spawn-key entry of each sampled probe's streams.  The second entry
 #: is 0 on the plus side (plus neighborhood or past, interval frozen to
 #: plus) and 1 on the minus side, so no two runs share a stream.
@@ -70,16 +68,29 @@ class ProbeReport:
 
 
 def _mcmc_mean(vol, params, bc, obs, seed, n_sweeps, burn_in, frozen=None,
-               key: tuple = ()) -> tuple:
-    """Replica-averaged estimate plus the list of per-replica estimates."""
-    seeds = mcmc.replica_seeds(seed, MCMC_REPLICAS, key)
-    parts = []
-    for r, s in enumerate(seeds):
-        st = mcmc.sampler_new(vol, params, bc, s,
-                              initial=_INITIAL_CYCLE[r % len(_INITIAL_CYCLE)],
-                              frozen=frozen)
-        parts.append(mcmc.estimate(st, obs, n_sweeps, burn_in))
-    return mcmc.combine_estimates(parts), parts
+               key: tuple = ()) -> mcmc.Estimate:
+    """Replica-averaged estimate of <obs> over MCMC_REPLICAS chains."""
+    return mcmc.combine_estimates(mcmc.replicas(
+        vol, params, bc, seed, MCMC_REPLICAS,
+        lambda st: mcmc.estimate(st, obs, n_sweeps, burn_in), frozen, key))
+
+
+def _two_sided_gap(report: ProbeReport, beta: float, plus, minus) -> Scalar:
+    """Record and return the scalar gap = plus - minus, with its verdicts.
+
+    The sides are exact floats or mcmc Estimates.  An mcmc gap carries the
+    quadrature stderr and a 4-sigma `resolved` verdict.  At beta = 0 the
+    gap must vanish.
+    """
+    if isinstance(plus, mcmc.Estimate):
+        gap = Scalar(plus.mean - minus.mean, "mcmc", math.hypot(plus.stderr, minus.stderr))
+        report.verdicts["resolved"] = bool(gap.value > 4.0 * gap.stderr)
+    else:
+        gap = Scalar(float(plus - minus), "exact")
+    report.scalars["gap"] = gap
+    report.verdicts["gap_positive"] = \
+        bool(gap.value > 0.0) if beta > 0 else bool(gap.value == 0.0)
+    return gap
 
 
 # ---------------------------------------------------------------------------
@@ -138,24 +149,14 @@ def decimation_probe(alpha: float, beta: float, L: int, method: str = "exact",
             raw[sign] = exact.conditional_expectation(vol, params, bc, frozen, obs)
             report.add_exact(f"m_{tag}_raw", raw[sign])
         else:
-            est, _ = _mcmc_mean(vol, params, bc, obs, seed, n_sweeps, burn_in,
-                                frozen=frozen, key=_stream_key("decimation", sign))
-            raw[sign] = est.mean
-            report.add_mcmc(f"m_{tag}_raw", est)
-            raw[f"se{sign}"] = est.stderr
-    gap = raw[1] - raw[-1]
-    m_plus = 0.5 * gap                      # phase-symmetrized one-sided value
-    if method == "exact":
-        report.add_exact("m_plus", m_plus)
-        report.add_exact("m_minus", -m_plus)
-        report.add_exact("gap", gap)
-    else:
-        se = math.hypot(raw["se1"], raw["se-1"])
-        report.scalars["m_plus"] = Scalar(m_plus, "mcmc", 0.5 * se)
-        report.scalars["m_minus"] = Scalar(-m_plus, "mcmc", 0.5 * se)
-        report.scalars["gap"] = Scalar(gap, "mcmc", se)
-        report.verdicts["resolved"] = bool(gap > 4.0 * se)
-    report.verdicts["gap_positive"] = bool(gap > 0.0) if beta > 0 else bool(gap == 0.0)
+            raw[sign] = _mcmc_mean(vol, params, bc, obs, seed, n_sweeps, burn_in,
+                                   frozen=frozen, key=_stream_key("decimation", sign))
+            report.add_mcmc(f"m_{tag}_raw", raw[sign])
+    gap = _two_sided_gap(report, beta, raw[1], raw[-1])
+    m_plus = 0.5 * gap.value                # phase-symmetrized one-sided value
+    half_se = None if gap.stderr is None else 0.5 * gap.stderr
+    report.scalars["m_plus"] = Scalar(m_plus, gap.method, half_se)
+    report.scalars["m_minus"] = Scalar(-m_plus, gap.method, half_se)
     return report
 
 
@@ -201,29 +202,20 @@ def g_probe(alpha: float, beta: float, L: int, method: str = "exact",
         "alpha": alpha, "beta": beta, "L": L, "N": N, "n": n,
         "method": method, "seed": seed,
     })
-    values = {}
+    sides = {}
     for sign, tag in ((1, "plus"), (-1, "minus")):
         fields = tuple(past_field(sign, alpha, L, N, n, s + shift)
                        for s in vol.sites())
         params = model.ModelParams(beta, model.PowerLaw(1.0, alpha), field=fields)
         obs = exact.spin_observable(vol, -shift)     # chain site x = 0
         if method == "exact":
-            values[sign] = exact.expectation(vol, params, model.free_bc(), obs)
-            report.add_exact(f"m_{tag}", values[sign])
+            sides[sign] = exact.expectation(vol, params, model.free_bc(), obs)
+            report.add_exact(f"m_{tag}", sides[sign])
         else:
-            est, _ = _mcmc_mean(vol, params, model.free_bc(), obs, seed, n_sweeps,
-                                burn_in, key=_stream_key("g_measure", sign))
-            values[sign] = est.mean
-            report.add_mcmc(f"m_{tag}", est)
-            values[f"se{sign}"] = est.stderr
-    gap = values[1] - values[-1]
-    if method == "exact":
-        report.add_exact("gap", gap)
-    else:
-        se = math.hypot(values["se1"], values["se-1"])
-        report.scalars["gap"] = Scalar(gap, "mcmc", se)
-        report.verdicts["resolved"] = bool(gap > 4.0 * se)
-    report.verdicts["gap_positive"] = bool(gap > 0.0) if beta > 0 else bool(gap == 0.0)
+            sides[sign] = _mcmc_mean(vol, params, model.free_bc(), obs, seed, n_sweeps,
+                                     burn_in, key=_stream_key("g_measure", sign))
+            report.add_mcmc(f"m_{tag}", sides[sign])
+    _two_sided_gap(report, beta, sides[1], sides[-1])
     return report
 
 
@@ -274,9 +266,9 @@ def wetting_probe(alpha: float, beta: float, L: int, N: int,
     else:
         est_p = {}
         for s in window_sites + [far_site]:
-            est, _ = _mcmc_mean(vol, params, bc, exact.spin_observable(vol, s),
-                                seed, n_sweeps, burn_in, frozen=frozen_minus,
-                                key=_stream_key("wetting", -1))
+            est = _mcmc_mean(vol, params, bc, exact.spin_observable(vol, s),
+                             seed, n_sweeps, burn_in, frozen=frozen_minus,
+                             key=_stream_key("wetting", -1))
             est_p[s] = est
             if s != far_site:
                 report.add_mcmc(f"profile[{s}]", est)
@@ -285,9 +277,9 @@ def wetting_probe(alpha: float, beta: float, L: int, N: int,
         worst = min(vals, key=vals.get)
         report.scalars["min_window"] = Scalar(vals[worst], "mcmc",
                                               est_p[worst].stderr)
-        ref, _ = _mcmc_mean(vol, params, bc, exact.spin_observable(vol, 0),
-                            seed, n_sweeps, burn_in, frozen=frozen_plus,
-                            key=_stream_key("wetting", 1))
+        ref = _mcmc_mean(vol, params, bc, exact.spin_observable(vol, 0),
+                         seed, n_sweeps, burn_in, frozen=frozen_plus,
+                         key=_stream_key("wetting", 1))
         report.add_mcmc("m_plus_phase", ref)
     if beta == 0:
         report.verdicts["profile_zero"] = bool(
@@ -415,67 +407,41 @@ def percus_transform(coupling: model.AnisotropicAxes, vol: model.Volume) -> dict
     pos = {s: i for i, s in enumerate(labels)}
     nlab = len(labels)
 
+    # sigma = s/2 + ct * t on the label of a 2d site (its mirror below the
+    # axis, where ct = -1/2); the decoupled chain sits in the difference slot
+    # of the line labels, sigma'_x = (s_x - t_x)/2.  Sites list the box, then
+    # the chain.
+    sites2 = vol.sites()
+    lab = np.array([pos[(x1, abs(x2))] for x1, x2 in sites2]
+                   + [pos[(x1, 0)] for x1 in chain_vol.sites()])
+    ct = np.array([0.5 if x2 >= 0 else -0.5 for _, x2 in sites2]
+                  + [-0.5] * chain_vol.n_sites)
+    # pairs in upper-triangle order, the box's then the chain's; np.add.at
+    # accumulates each table cell in that order
+    i2, j2 = np.triu_indices(vol.n_sites, 1)
+    i1, j1 = np.triu_indices(chain_vol.n_sites, 1)
+    i = np.concatenate([i2, i1 + vol.n_sites])
+    j = np.concatenate([j2, j1 + vol.n_sites])
+    J = np.concatenate([model.coupling_matrix(vol, coupling)[i2, j2],
+                        model.coupling_matrix(chain_vol, chain_spec)[i1, j1]])
+
+    def both_orders(ab, ba):
+        return np.stack([ab, ba], axis=1).ravel()
+
+    cells = (both_orders(lab[i], lab[j]), both_orders(lab[j], lab[i]))
     ss = np.zeros((nlab, nlab))
     tt = np.zeros((nlab, nlab))
     st = np.zeros((nlab, nlab))
+    np.add.at(ss, cells, np.repeat(J * 0.5 * 0.5, 2))
+    np.add.at(tt, cells, np.repeat(J * ct[i] * ct[j], 2))
+    np.add.at(st, cells, both_orders(J * 0.5 * ct[j], J * ct[i] * 0.5))
+    h = np.concatenate([model.boundary_field_vector(vol, coupling, bc2),
+                        model.boundary_field_vector(chain_vol, chain_spec,
+                                                    model.plus_bc())])
     lin_s = np.zeros(nlab)
     lin_t = np.zeros(nlab)
-
-    def label_of(site):
-        """(label index, s coefficient, t coefficient) with
-        sigma_site = cs * s_label + ct * t_label."""
-        if site[1] >= 0:
-            return pos[site], 0.5, 0.5
-        return pos[_mirror(site)], 0.5, -0.5
-
-    def add_pair(a, b, J):
-        ia, ca_s, ca_t = label_of(a)
-        ib, cb_s, cb_t = label_of(b)
-        ss[ia, ib] += J * ca_s * cb_s
-        ss[ib, ia] += J * ca_s * cb_s
-        tt[ia, ib] += J * ca_t * cb_t
-        tt[ib, ia] += J * ca_t * cb_t
-        st[ia, ib] += J * ca_s * cb_t
-        st[ib, ia] += J * ca_t * cb_s
-
-    def add_single(a, h):
-        ia, cs, ct_ = label_of(a)
-        lin_s[ia] += h * cs
-        lin_t[ia] += h * ct_
-
-    sites2 = vol.sites()
-    for i, a in enumerate(sites2):
-        for b in sites2[i + 1:]:
-            J = model.coupling_value(coupling, a, b)
-            if J:
-                add_pair(a, b, J)
-    h2 = model.boundary_field_vector(vol, coupling, bc2)
-    for a in sites2:
-        if h2[vol.index(a)]:
-            add_single(a, float(h2[vol.index(a)]))
-
-    # decoupled chain in the difference slot of the line variables
-    def chain_label(x1):
-        return pos[(x1, 0)]
-
-    chain_sites = chain_vol.sites()
-    for i, a in enumerate(chain_sites):
-        for b in chain_sites[i + 1:]:
-            J = model.coupling_value(chain_spec, a, b)
-            if J:
-                ia, ib = chain_label(a), chain_label(b)
-                # sigma'_x = (s_x - t_x)/2 on the line
-                ss[ia, ib] += J * 0.25
-                ss[ib, ia] += J * 0.25
-                tt[ia, ib] += J * 0.25
-                tt[ib, ia] += J * 0.25
-                st[ia, ib] -= J * 0.25
-                st[ib, ia] -= J * 0.25
-    h1 = model.boundary_field_vector(chain_vol, chain_spec, model.plus_bc())
-    for a in chain_sites:
-        ia = chain_label(a)
-        lin_s[ia] += float(h1[chain_vol.index(a)]) * 0.5
-        lin_t[ia] -= float(h1[chain_vol.index(a)]) * 0.5
+    np.add.at(lin_s, lab, h * 0.5)
+    np.add.at(lin_t, lab, h * ct)
 
     # self-pairs (x, mirror x) land on one label as (s^2 - t^2)/4 terms; the
     # constraint s^2 + t^2 = 4 folds them into a nonnegative s^2 coefficient
@@ -582,15 +548,10 @@ def rigidity_check(alpha1: float, vertical="nn", beta: float = 3.0, L: int = 1,
             means[(0, 1)] > 0 > means[(0, -1)]) if beta > 0 else True
     else:
         wanted = [(x, 0) for x in xs] + [(0, 1), (0, -1)]
-        seeds = mcmc.replica_seeds(seed, MCMC_REPLICAS)
-        per_site = {s: [] for s in wanted}
-        for r, sd in enumerate(seeds):
-            st = mcmc.sampler_new(vol, params, bc, sd,
-                                  initial=_INITIAL_CYCLE[r % len(_INITIAL_CYCLE)])
-            ests = mcmc.estimate_site_means(st, wanted, n_sweeps, burn_in)
-            for s in wanted:
-                per_site[s].append(ests[s])
-        combined = {s: mcmc.combine_estimates(v) for s, v in per_site.items()}
+        runs = mcmc.replicas(
+            vol, params, bc, seed, MCMC_REPLICAS,
+            lambda st: mcmc.estimate_site_means(st, wanted, n_sweeps, burn_in))
+        combined = {s: mcmc.combine_estimates([run[s] for run in runs]) for s in wanted}
         for x in xs:
             report.add_mcmc(f"line0[{x}]", combined[(x, 0)])
         report.add_mcmc("above", combined[(0, 1)])
@@ -606,9 +567,7 @@ def rigidity_check(alpha1: float, vertical="nn", beta: float = 3.0, L: int = 1,
             combined[(0, 1)].mean > 4.0 * combined[(0, 1)].stderr
             and combined[(0, -1)].mean < -4.0 * combined[(0, -1)].stderr)
         # replica agreement on every verdict
-        oks = []
-        for r in range(len(seeds)):
-            oks.append(all(per_site[(x, 0)][r].mean > 0 for x in xs)
-                       and per_site[(0, 1)][r].mean > 0 > per_site[(0, -1)][r].mean)
-        report.verdicts["replicas_agree"] = bool(all(oks))
+        report.verdicts["replicas_agree"] = bool(all(
+            all(run[(x, 0)].mean > 0 for x in xs)
+            and run[(0, 1)].mean > 0 > run[(0, -1)].mean for run in runs))
     return report

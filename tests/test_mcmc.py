@@ -38,9 +38,9 @@ def test_capacity_errors():
     params = m.ModelParams(1.0, m.PowerLaw(1.0, 1.5))
     with pytest.raises(CapacityError):
         mcmc.sampler_new(m.Volume(1, 40_000), params, m.plus_bc(), seed=0)
+    # 4097 sites, one over the shared coupling table's cap
     with pytest.raises(CapacityError):
-        mcmc.sampler_new(m.Volume(1, 5_000), params, m.plus_bc(), seed=0,
-                         max_table_bytes=1 << 20)
+        mcmc.sampler_new(m.Volume(1, 2048), params, m.plus_bc(), seed=0)
 
 
 def test_beta_zero_metropolis_always_accepts():
@@ -157,6 +157,42 @@ def test_monotone_in_beta():
 
 def test_replica_seeds_stable_under_extension():
     assert mcmc.replica_seeds(123, 4) == mcmc.replica_seeds(123, 8)[:4]
+
+
+@pytest.mark.parametrize("frozen", [None, {-2: 1, 3: -1}])
+def test_replicas_follow_seed_layout_and_initial_cycle(frozen):
+    vol = m.Volume(1, 3)
+    params = m.ModelParams(0.9, m.PowerLaw(1.0, 1.6))
+    obs = ex.spin_observable(vol, 0)
+    key = (4, 1)
+
+    def run(st):
+        return tuple(st.config), mcmc.estimate(st, obs, 300, 10)
+
+    def by_hand(shift):
+        cycle = ("plus", "minus", "random")
+        return [run(mcmc.sampler_new(vol, params, m.alternating_bc(), s,
+                                     initial=cycle[(r + shift) % 3], frozen=frozen))
+                for r, s in enumerate(mcmc.replica_seeds(41, 5, key))]
+
+    got = mcmc.replicas(vol, params, m.alternating_bc(), 41, 5, run, frozen, key)
+    assert got == by_hand(0)
+    assert got != by_hand(1)            # the comparison sees the initial states
+
+
+@pytest.mark.parametrize("rule", ["metropolis", "heat_bath"])
+def test_estimate_equals_site_means_column(rule):
+    vol = m.Volume(1, 3)
+    params = m.ModelParams(0.7, m.PowerLaw(1.0, 1.5))
+
+    def fresh():
+        return mcmc.sampler_new(vol, params, m.dobrushin1d_bc(), seed=9, initial="random")
+
+    one = mcmc.estimate(fresh(), ex.spin_observable(vol, 1), 2500, 300, rule=rule,
+                        resync_every=400)
+    many = mcmc.estimate_site_means(fresh(), [1], 2500, 300, rule=rule,
+                                    resync_every=400)
+    assert one == many[1]
 
 
 def test_auto_burn_in_agrees_with_oracle():

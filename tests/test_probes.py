@@ -290,6 +290,42 @@ def test_percus_energies_match_hamiltonian(vertical):
     assert out["hamiltonian_deviation"] == float(np.max(np.abs(H_st - H)))
 
 
+@pytest.mark.parametrize("vertical", ["nn", 2.2])
+def test_percus_tables_match_pair_loop(vertical):
+    # reference: one coupling_value per pair, sigma = s/2 + c t on the site's
+    # label, c = -1/2 below the axis and for the chain (difference slot)
+    coupling = m.AnisotropicAxes(1.5, vertical)
+    vol, chain_vol = m.Volume(2, 2), m.Volume(1, 2)
+    out = probes.percus_transform(coupling, vol)
+    pos = {s: i for i, s in enumerate(out["labels"])}
+    ss, tt, st = (np.zeros((len(pos), len(pos))) for _ in range(3))
+    lin_s, lin_t = np.zeros(len(pos)), np.zeros(len(pos))
+    systems = [(coupling, m.dobrushin2d_bc(0), vol,
+                [(pos[(x1, abs(x2))], 0.5 if x2 >= 0 else -0.5) for x1, x2 in vol.sites()]),
+               (m.PowerLaw(1.0, 1.5), m.plus_bc(), chain_vol,
+                [(pos[(x, 0)], -0.5) for x in chain_vol.sites()])]
+    for spec, bc, v, labels in systems:
+        sites = v.sites()
+        for k, a in enumerate(sites):
+            for q in range(k + 1, len(sites)):
+                J = m.coupling_value(spec, a, sites[q])
+                for (i, _), (j, cj) in ((labels[k], labels[q]), (labels[q], labels[k])):
+                    ss[i, j] += J / 4
+                    tt[i, j] += J * labels[k][1] * labels[q][1]
+                    st[i, j] += J * cj / 2
+        h = m.boundary_field_vector(v, spec, bc)
+        for k, (i, c) in enumerate(labels):
+            lin_s[i] += h[k] / 2
+            lin_t[i] += h[k] * c
+    self_terms = np.diag(tt).copy()
+    ss[np.diag_indices_from(ss)] -= self_terms
+    np.fill_diagonal(tt, 0.0)
+    np.fill_diagonal(st, 0.0)
+    for name, ref in (("ss", ss), ("tt", tt), ("st", st), ("lin_s", lin_s), ("lin_t", lin_t)):
+        assert np.max(np.abs(out[name] - ref)) <= 1e-14, name
+    assert out["constant"] == pytest.approx(-2.0 * self_terms.sum(), abs=1e-12)
+
+
 def test_percus_transform_rejects_other_families():
     with pytest.raises(ValueError):
         probes.percus_transform(m.PowerLaw(1.0, 2.5), m.Volume(2, 1))

@@ -9,6 +9,7 @@ scalar table.  Exit codes: 0 success, 2 config error, 3 capacity error,
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import os
 import sys
@@ -158,32 +159,42 @@ def validate_config(cfg: dict) -> dict:
 # results store
 
 
+def _last_line_start(fh, end: int) -> int:
+    """Offset just past the last newline before `end` (0 if there is none),
+    found by reading backwards in blocks."""
+    pos = end
+    while pos > 0:
+        step = min(pos, 1 << 16)
+        pos -= step
+        fh.seek(pos)
+        cut = fh.read(step).rfind(b"\n")
+        if cut >= 0:
+            return pos + cut + 1
+    return 0
+
+
 def append_record(path: str, record: dict) -> None:
-    """Append one canonical JSON line; quarantine a corrupt trailing line
-    instead of silently dropping it."""
-    if os.path.exists(path):
-        with open(path, "rb") as fh:
-            data = fh.read()
-        if data and not data.endswith(b"\n"):
-            cut = data.rfind(b"\n") + 1
-            tail = data[cut:]
+    """Append one canonical JSON line under an exclusive lock on the store.
+    Only the tail is read: a trailing line without its newline is completed
+    if it parses and quarantined otherwise, never silently dropped."""
+    line = (canonical_json(record) + "\n").encode("utf-8")
+    with open(path, "a+b") as fh:      # closing the file releases the lock
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        end = fh.seek(0, os.SEEK_END)
+        cut = _last_line_start(fh, end)
+        if cut < end:
+            fh.seek(cut)
+            tail = fh.read()
             try:
                 json.loads(tail.decode("utf-8"))
-                ok = True
+                line = b"\n" + line
             except (UnicodeDecodeError, json.JSONDecodeError):
-                ok = False
-            if not ok:
                 with open(path + ".quarantine", "ab") as qf:
                     qf.write(tail + b"\n")
-                with open(path, "wb") as fh:
-                    fh.write(data[:cut])
+                fh.truncate(cut)
                 print(f"quarantined corrupt trailing line -> {path}.quarantine",
                       file=sys.stderr)
-            else:
-                with open(path, "ab") as fh:
-                    fh.write(b"\n")
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(canonical_json(record) + "\n")
+        fh.write(line)
 
 
 def emit_csv(path: str, rows: list) -> None:

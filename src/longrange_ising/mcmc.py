@@ -3,22 +3,34 @@
 The sampler reads the shared coupling table (`model.coupling_matrix`) and
 the boundary fields once and caches every site's local field h.  A sweep
 visits the free sites in index order, as a sequential single-site sweep
-does, but it is event-driven.  The sweep's uniforms are drawn at once and
-each becomes a threshold t: the site with spin s changes iff s*h < t.  One
-vectorized pass over the rest of the sweep finds the next site that
-changes; its flip updates the energy and every cached field (one coupling
-row), and the scan resumes after it.  The first change under the current
-fields is the sequential sweep's next change, so the Markov chain is the
-same, and a sweep costs (flips + 1) passes.  The RNG is counter-based
-(Philox) and seeded through SeedSequence, so replica streams are
-reproducible and adding replicas never perturbs existing ones.
+does.  `run(state, n_sweeps, rule, record)` is the one loop that advances
+a chain: it draws the uniforms of many sweeps with one call and maps each
+to a threshold t, so that the site with spin s changes iff s*h < t.  On
+Philox, drawing a + b uniforms at once gives the same numbers as drawing
+a and then b, so batching leaves every stream as it is.  Uniforms, and the
+configurations that `record` returns after each sweep, are taken in chunks
+of at most `_CHUNK_BYTES`.  Two inner scans apply the thresholds, chosen by
+the site count alone:
+
+- below `_LIST_SCAN_SITES` sites, a scan over Python lists tests s*h < t
+  site by site, free of numpy's fixed cost per call;
+- at and above it, an event-driven numpy scan: one vectorized pass over
+  the rest of the sweep finds the next site that changes, its flip updates
+  the energy and every cached field (one coupling row), and the pass
+  resumes after it, so a sweep costs (flips + 1) passes.
+
+Both flip in the same operation order and give the same floats.  `sweep`
+is run(state, 1, rule).  The RNG is counter-based (Philox) and seeded
+through SeedSequence, so replica streams are reproducible and adding
+replicas never perturbs existing ones.
 
 `estimate` (one observable) and `estimate_site_means` (many spins from one
-chain) record a chain through one loop and summarize each series with
-blocking error bars and an integrated autocorrelation time.  `replicas` is
-the one replica driver: it seeds chain r from `replica_seeds`, starts it
-plus, minus or random by r mod 3 and runs a caller's estimator on it;
-`combine_estimates` merges the results.
+chain) record a chain through `run`, one chunk or resync segment at a
+time, and summarize each series with blocking error bars and an
+integrated autocorrelation time.  `replicas` is the one replica driver:
+it seeds chain r from `replica_seeds`, starts it plus, minus or random by
+r mod 3 and runs a caller's estimator on it; `combine_estimates` merges
+the results.
 """
 
 from __future__ import annotations
@@ -32,6 +44,12 @@ import numpy as np
 from . import model
 
 _SMALLEST = np.nextafter(0.0, 1.0)
+
+#: Chains of fewer sites scan Python lists; larger ones the numpy kernel.
+_LIST_SCAN_SITES = 64
+
+#: Bytes of uniforms, or of recorded rows, that one chunk of sweeps holds.
+_CHUNK_BYTES = 1 << 20
 
 #: Initial states of replica chains, cycled by replica index.
 _REPLICA_INITIALS = ("plus", "minus", "random")
@@ -124,31 +142,92 @@ def _thresholds(u: np.ndarray, beta: float, rule: str) -> np.ndarray:
     return (np.log1p(-u) - log_u) * (0.5 / beta)
 
 
-def sweep(state: SamplerState, rule: str = "metropolis") -> SamplerState:
-    """One pass of single-site updates over the free sites, in index order."""
+def run(state: SamplerState, n_sweeps: int, rule: str = "metropolis",
+        record: bool = False):
+    """Advance the chain by n_sweeps sweeps of single-site updates over the
+    free sites, in index order.  With `record`, return the (n_sweeps, n)
+    int8 configurations after each sweep; otherwise return None."""
     if rule not in ("metropolis", "heat_bath"):
         raise ValueError("rule must be metropolis or heat_bath")
+    m, n = state.free_index.size, state.config.size
+    scan = _list_scan if n < _LIST_SCAN_SITES else _numpy_scan
+    rows = np.empty((n_sweeps, n), dtype=np.int8) if record else None
+    step = _chunk_sweeps(n)
+    for start in range(0, n_sweeps, step):
+        k = min(step, n_sweeps - start)
+        t = _thresholds(state.rng.random(k * m), state.params.beta, rule)
+        scan(state, t.reshape(k, m), None if rows is None else rows[start:start + k])
+    state.sweeps += n_sweeps
+    return rows
+
+
+def sweep(state: SamplerState, rule: str = "metropolis") -> SamplerState:
+    """One sweep: run(state, 1, rule)."""
+    run(state, 1, rule)
+    return state
+
+
+def _chunk_sweeps(n_sites: int) -> int:
+    """Sweeps whose uniforms (or recorded rows) fit the chunk budget."""
+    return max(1, _CHUNK_BYTES // (8 * n_sites))
+
+
+def _list_scan(state: SamplerState, t: np.ndarray, rows) -> None:
+    """Sweep once per row of thresholds t on Python lists.  A flip does the
+    numpy kernel's float operations in its order (h - 2s J, with 2J exact),
+    so every float comes out the same."""
+    free = state.free_index.tolist()
+    cfg = state.config.tolist()
+    h = state.fields.tolist()
+    J2 = (2.0 * state.couplings).tolist()
+    energy, flips = state.energy, 0
+    seen = []
+    for tr in t.tolist():
+        for i, ti in zip(free, tr):
+            s = cfg[i]
+            if s * h[i] < ti:
+                energy += 2.0 * s * h[i]
+                if s > 0:
+                    h = [a - b for a, b in zip(h, J2[i])]
+                else:
+                    h = [a + b for a, b in zip(h, J2[i])]
+                cfg[i] = -s
+                flips += 1
+        if rows is not None:
+            seen.append(cfg[:])
+    if rows is not None:
+        rows[:] = seen
+    state.config[:] = cfg
+    state.fields[:] = h
+    state.energy = energy
+    state.flips += flips
+
+
+def _numpy_scan(state: SamplerState, t: np.ndarray, rows) -> None:
+    """Sweep once per row of thresholds t, event-driven: one vectorized
+    pass finds the next site that changes, its flip updates the cached
+    fields, and the pass resumes after it."""
     free = state.free_index
-    t = _thresholds(state.rng.random(free.size), state.params.beta, rule)
     cfg = state.config
     fields = state.fields
     J = state.couplings
-    k = 0
-    while k < free.size:
-        rest = free[k:]
-        changes = cfg[rest] * fields[rest] < t[k:]
-        j = int(changes.argmax())
-        if not changes[j]:
-            break
-        i = rest[j]
-        s = cfg[i]
-        state.energy += 2.0 * s * fields[i]
-        fields -= (2.0 * s) * J[i]
-        cfg[i] = -s
-        state.flips += 1
-        k += j + 1
-    state.sweeps += 1
-    return state
+    for r, tr in enumerate(t):
+        k = 0
+        while k < free.size:
+            rest = free[k:]
+            changes = cfg[rest] * fields[rest] < tr[k:]
+            j = int(changes.argmax())
+            if not changes[j]:
+                break
+            i = rest[j]
+            s = cfg[i]
+            state.energy += 2.0 * s * fields[i]
+            fields -= (2.0 * s) * J[i]
+            cfg[i] = -s
+            state.flips += 1
+            k += j + 1
+        if rows is not None:
+            rows[r] = cfg
 
 
 def flip_probability(state: SamplerState, site, rule: str = "metropolis") -> float:
@@ -156,11 +235,12 @@ def flip_probability(state: SamplerState, site, rule: str = "metropolis") -> flo
     i = state.vol.index(site)
     h = float(state.couplings[i] @ state.config.astype(np.float64)
               + state.static_fields[i])
-    beta = state.params.beta
-    s = state.config[i]
+    x = 2.0 * state.params.beta * state.config[i] * h
     if rule == "metropolis":
-        return min(1.0, math.exp(-beta * 2.0 * s * h))
-    return 1.0 / (1.0 + math.exp(2.0 * beta * s * h))
+        return 1.0 if x <= 0.0 else math.exp(-x)
+    if x > 0.0:                    # exp(x) would overflow past x = 709
+        return math.exp(-x) / (1.0 + math.exp(-x))
+    return 1.0 / (1.0 + math.exp(x))
 
 
 @dataclass(frozen=True)
@@ -200,16 +280,22 @@ def _blocking_stderr(samples: np.ndarray, n_blocks: int = 32) -> float:
 
 def _chain(state: SamplerState, read, shape: tuple, n_sweeps: int,
            burn_in: int, rule: str, resync_every: int) -> np.ndarray:
-    """Run n_sweeps sweeps; row t - burn_in holds read(config) after sweep t
-    for every t >= burn_in."""
+    """Run n_sweeps sweeps; row t - burn_in holds the sample of the
+    configuration after sweep t for every t >= burn_in.  read maps a block
+    of recorded configurations to its block of samples."""
     if n_sweeps <= burn_in:
         raise ValueError("n_sweeps must exceed burn_in")
     samples = np.empty((n_sweeps - burn_in,) + shape)
-    for t in range(n_sweeps):
-        sweep(state, rule)
-        if t >= burn_in:
-            samples[t - burn_in] = read(state.config)
-        if (t + 1) % resync_every == 0:
+    step = _chunk_sweeps(state.config.size)
+    t = 0
+    while t < n_sweeps:
+        k = min(step, n_sweeps - t, resync_every - t % resync_every)
+        rows = run(state, k, rule, record=True)
+        if t + k > burn_in:
+            lo = max(t, burn_in)
+            samples[lo - burn_in:t + k - burn_in] = read(rows[lo - t:])
+        t += k
+        if t % resync_every == 0:
             state.resync()
     return samples
 
@@ -226,7 +312,8 @@ def estimate(state: SamplerState, obs, n_sweeps: int, burn_in: int = None,
     With burn_in None, the default is ten measured autocorrelation times,
     re-estimated once on the series that survives the first cut.
     """
-    samples = _chain(state, obs.fn, (), n_sweeps, burn_in or 0, rule, resync_every)
+    samples = _chain(state, lambda rows: [obs.fn(row) for row in rows], (), n_sweeps,
+                     burn_in or 0, rule, resync_every)
     if burn_in is None:
         first = min(int(math.ceil(10.0 * _integrated_tau(samples))), samples.size // 2)
         tau2 = _integrated_tau(samples[first:])
@@ -240,7 +327,7 @@ def estimate_site_means(state: SamplerState, sites: Sequence, n_sweeps: int,
                         resync_every: int = 1000) -> dict:
     """Per-site spin estimates from one chain (shared samples)."""
     idx = np.array([state.vol.index(s) for s in sites], dtype=np.int64)
-    samples = _chain(state, lambda config: config[idx], idx.shape, n_sweeps,
+    samples = _chain(state, lambda rows: rows[:, idx], idx.shape, n_sweeps,
                      burn_in, rule, resync_every)
     return {site: _summary(samples[:, j]) for j, site in enumerate(sites)}
 

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -82,6 +83,52 @@ def test_append_only_and_quarantine(tmp_path):
     lines = path.read_text().splitlines()
     assert [json.loads(l) for l in lines] == [{"a": 1.0}, {"b": 2.0}, {"c": 3.0}]
     assert "broken" in (tmp_path / "results.jsonl.quarantine").read_text()
+
+
+def _best_append_seconds(path, repeats=5):
+    best = math.inf
+    for i in range(repeats):
+        t0 = time.perf_counter()
+        cli.append_record(str(path), {"i": i})
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def test_append_cost_does_not_grow_with_the_store(tmp_path):
+    big = tmp_path / "big.jsonl"
+    line = cli.canonical_json({"pad": "x" * 1000}).encode() + b"\n"
+    with open(big, "wb") as fh:
+        for _ in range(50):
+            fh.write(line * ((1 << 20) // len(line) + 1))
+    assert big.stat().st_size >= 50 << 20
+    empty = _best_append_seconds(tmp_path / "empty.jsonl")
+    full = _best_append_seconds(big)
+    assert full < 10.0 * empty + 2e-3, (full, empty)
+    with open(big, "rb") as fh:
+        fh.seek(-200, 2)
+        assert [json.loads(l) for l in fh.read().splitlines()[-5:]] == \
+            [{"i": i} for i in range(5)]
+
+
+def test_concurrent_appenders_keep_every_record(tmp_path):
+    path = tmp_path / "shared.jsonl"
+    code = ("import sys\nfrom longrange_ising import cli\n"
+            "for i in range(200):\n"
+            "    cli.append_record(sys.argv[1], {'proc': int(sys.argv[2]), 'i': i,"
+            " 'pad': 'x' * 20000})\n")
+    procs = [subprocess.Popen([sys.executable, "-c", code, str(path), str(p)])
+             for p in range(2)]
+    try:
+        for proc in procs:
+            assert proc.wait(timeout=120) == 0
+    finally:
+        for proc in procs:
+            proc.kill()                  # a no-op once the process has exited
+    records = [json.loads(l) for l in path.read_text().splitlines()]
+    assert len(records) == 400
+    for p in range(2):
+        assert [r["i"] for r in records if r["proc"] == p] == list(range(200))
+    assert not (tmp_path / "shared.jsonl.quarantine").exists()
 
 
 def test_csv_and_json_share_formatting(tmp_path):

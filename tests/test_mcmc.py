@@ -256,6 +256,11 @@ KERNEL_SETTINGS = {
             m.alternating_bc(), None),
     "ordered2d": (m.Volume(2, 2), m.ModelParams(3.0, m.AnisotropicAxes(1.5, "nn")),
                   m.dobrushin2d_bc(0), None),
+    # 81 sites each: above the list-scan crossover
+    "ordered2d_frozen": (m.Volume(2, 4), m.ModelParams(3.0, m.AnisotropicAxes(1.5, "nn")),
+                         m.dobrushin2d_bc(0), {(0, 0): -1, (2, -3): 1, (-4, 4): -1}),
+    "hot_wide": (m.Volume(1, 40), m.ModelParams(0.05, m.PowerLaw(1.0, 1.6)),
+                 m.alternating_bc(), None),
 }
 
 
@@ -272,8 +277,100 @@ def test_sweep_matches_sequential_loop(setting, rule):
         assert fast.energy == ref.energy
         assert np.array_equal(fast.fields, ref.fields)
     assert fast.flips == ref.flips > 0
-    if setting in ("beta0", "hot"):
+    if setting in ("beta0", "hot", "hot_wide"):
         assert fast.flips > 0.3 * 250 * fast.free_index.size
+
+
+def test_scan_is_picked_by_site_count(monkeypatch):
+    used = []
+    for name in ("_list_scan", "_numpy_scan"):
+        scan = getattr(mcmc, name)
+        monkeypatch.setattr(mcmc, name, lambda st, t, rows, scan=scan, name=name:
+                            (used.append((st.config.size, name)), scan(st, t, rows)))
+    for vol, params, bc, frozen in KERNEL_SETTINGS.values():
+        mcmc.sweep(mcmc.sampler_new(vol, params, bc, seed=1, frozen=frozen))
+    assert {name for _, name in used} == {"_list_scan", "_numpy_scan"}
+    assert all((n < mcmc._LIST_SCAN_SITES) == (name == "_list_scan") for n, name in used)
+
+
+RUN_SETTINGS = {
+    "beta0": (m.ModelParams(0.0, m.PowerLaw(1.0, 1.5)), m.plus_bc(), None),
+    "frozen": (m.ModelParams(0.6, m.PowerLaw(1.0, 1.6)), m.alternating_bc(), {1: -1}),
+}
+
+
+@pytest.mark.parametrize("scan", ["list", "numpy"])
+@pytest.mark.parametrize("rule", ["metropolis", "heat_bath"])
+@pytest.mark.parametrize("setting", sorted(RUN_SETTINGS))
+def test_run_matches_repeated_sweeps(setting, rule, scan, monkeypatch):
+    vol = m.Volume(1, 3)
+    params, bc, frozen = RUN_SETTINGS[setting]
+    monkeypatch.setattr(mcmc, "_LIST_SCAN_SITES", 10 ** 9 if scan == "list" else 0)
+    monkeypatch.setattr(mcmc, "_CHUNK_BYTES", 4 * 8 * vol.n_sites)   # 4 sweeps a chunk
+    K = 30                           # spans seven chunk boundaries
+    batched, single = (mcmc.sampler_new(vol, params, bc, seed=23, initial="random",
+                                        frozen=frozen) for _ in range(2))
+    rows = mcmc.run(batched, K, rule, record=True)
+    assert rows.dtype == np.int8 and rows.shape == (K, vol.n_sites)
+    for row in rows:
+        assert mcmc.run(single, 1, rule) is None
+        assert np.array_equal(row, single.config)
+    assert np.array_equal(batched.config, single.config)
+    assert batched.energy == single.energy
+    assert np.array_equal(batched.fields, single.fields)
+    assert batched.flips == single.flips > 0
+    assert batched.sweeps == single.sweeps == K
+    assert batched.rng.random() == single.rng.random()
+
+
+def test_chain_is_chunked_without_changing_samples(monkeypatch):
+    vol = m.Volume(1, 3)
+    params = m.ModelParams(0.6, m.PowerLaw(1.0, 1.5))
+
+    def means():
+        st = mcmc.sampler_new(vol, params, m.dobrushin1d_bc(), seed=2, initial="random")
+        return mcmc.estimate_site_means(st, vol.sites(), 700, 50, resync_every=10 ** 9)
+
+    whole = means()
+    lengths = []
+    run = mcmc.run
+    monkeypatch.setattr(mcmc, "_CHUNK_BYTES", 64 * 8 * vol.n_sites)
+    monkeypatch.setattr(mcmc, "run", lambda st, k, *a, **kw: (lengths.append(k),
+                                                               run(st, k, *a, **kw))[1])
+    assert means() == whole
+    assert max(lengths) == 64 and sum(lengths) == 700
+
+
+def _config_rows(state, width):
+    text = "".join("+" if s > 0 else "-" for s in state.config.tolist())
+    return tuple(text[i:i + width] for i in range(0, len(text), width))
+
+
+def test_streams_pinned():
+    # flip counts, minus spins summed over every recorded sweep and final
+    # configurations: exact integers (no float digest to drift with libm);
+    # a change to the sampled streams moves them
+    st = mcmc.sampler_new(m.Volume(1, 3), m.ModelParams(0.5, m.PowerLaw(1.0, 1.5)),
+                          m.plus_bc(), seed=5, initial="random")
+    rows = mcmc.run(st, 2000, "metropolis", record=True)
+    assert (st.flips, int((rows < 0).sum())) == (189, 92)
+    assert _config_rows(st, 7) == ("+++++++",)
+    st = mcmc.sampler_new(m.Volume(2, 8), m.ModelParams(3.0, m.AnisotropicAxes(1.5, "nn")),
+                          m.dobrushin2d_bc(0), seed=5, initial="random")
+    rows = mcmc.run(st, 50, "heat_bath", record=True)
+    assert (st.flips, int((rows < 0).sum())) == (135, 6801)
+    assert _config_rows(st, 17) == ("--------+++++++++",) * 17
+
+
+@pytest.mark.parametrize("rule, initial, want", [("metropolis", "minus", 1.0),
+                                                 ("heat_bath", "plus", 0.0)])
+def test_flip_probability_beyond_exp_range(rule, initial, want):
+    # 2 beta |h| = 960 is past exp's overflow at 709
+    params = m.ModelParams(4.0, m.PowerLaw(1.0, 1.5), field=120.0)
+    st = mcmc.sampler_new(m.Volume(1, 0), params, m.free_bc(), seed=0, initial=initial)
+    assert mcmc.flip_probability(st, 0, rule) == want
+    mcmc.sweep(st, rule)             # the kernel agrees: a sure flip, or none
+    assert st.flips == int(want)
 
 
 class _FixedUniforms:

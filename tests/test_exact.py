@@ -156,6 +156,20 @@ def test_expectation_within_observable_range():
         assert -1.0 - 1e-12 <= v <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("vol", [m.Volume(1, 3), m.Volume(2, 8)])
+def test_sampled_observables_block_form_matches_row_form(vol):
+    # the sampler reads these through evaluate_block: its samples must be
+    # the row form's floats, bit for bit
+    S = np.random.default_rng(3).choice(np.array([-1, 1], dtype=np.int8),
+                                        size=(500, vol.n_sites))
+    first, last = vol.sites()[0], vol.sites()[-1]
+    for obs in (ex.spin_observable(vol, first), ex.spin_observable(vol, last),
+                ex.pair_observable(vol, first, last), ex.magnetization_observable(vol)):
+        block = obs.evaluate_block(S)
+        assert block.dtype == np.float64
+        assert block.tobytes() == np.array([obs.fn(row) for row in S]).tobytes(), obs.name
+
+
 def test_conditional_expectation_frozen_everything():
     vol = m.Volume(1, 2)
     params = m.ModelParams(1.0, m.PowerLaw(1.0, 1.5))

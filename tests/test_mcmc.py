@@ -281,16 +281,32 @@ def test_sweep_matches_sequential_loop(setting, rule):
         assert fast.flips > 0.3 * 250 * fast.free_index.size
 
 
-def test_scan_is_picked_by_site_count(monkeypatch):
+def _record_scans(monkeypatch) -> list:
+    """Wrap both scans so that each call appends the scan's name."""
     used = []
-    for name in ("_list_scan", "_numpy_scan"):
+    for name in ("_list_scan", "_event_scan"):
         scan = getattr(mcmc, name)
-        monkeypatch.setattr(mcmc, name, lambda st, t, rows, scan=scan, name=name:
-                            (used.append((st.config.size, name)), scan(st, t, rows)))
-    for vol, params, bc, frozen in KERNEL_SETTINGS.values():
-        mcmc.sweep(mcmc.sampler_new(vol, params, bc, seed=1, frozen=frozen))
-    assert {name for _, name in used} == {"_list_scan", "_numpy_scan"}
-    assert all((n < mcmc._LIST_SCAN_SITES) == (name == "_list_scan") for n, name in used)
+        monkeypatch.setattr(mcmc, name, lambda st, t, *rest, scan=scan, name=name:
+                            (used.append(name), scan(st, t, *rest)))
+    return used
+
+
+def test_scan_is_picked_by_site_count_and_flip_density(monkeypatch):
+    used = _record_scans(monkeypatch)
+
+    def scans(setting, n_blocks):
+        vol, params, bc, frozen = KERNEL_SETTINGS[setting]
+        st = mcmc.sampler_new(vol, params, bc, seed=1, initial="random", frozen=frozen)
+        used.clear()
+        mcmc.run(st, n_blocks * mcmc._BLOCK_SWEEPS, "metropolis")
+        return used[:]
+
+    # 81 sites: the event scan, hot or cold
+    assert scans("hot_wide", 3) == scans("ordered2d_frozen", 3) == ["_event_scan"] * 3
+    # a hot small chain stays on lists; a cold one leaves them after its
+    # first block
+    assert scans("hot", 4) == ["_list_scan"] * 4
+    assert scans("ordered2d", 4) == ["_list_scan"] + ["_event_scan"] * 3
 
 
 RUN_SETTINGS = {
@@ -299,19 +315,32 @@ RUN_SETTINGS = {
 }
 
 
-@pytest.mark.parametrize("scan", ["list", "numpy"])
+@pytest.mark.parametrize("scan", ["list", "numpy", "switch"])
 @pytest.mark.parametrize("rule", ["metropolis", "heat_bath"])
 @pytest.mark.parametrize("setting", sorted(RUN_SETTINGS))
 def test_run_matches_repeated_sweeps(setting, rule, scan, monkeypatch):
     vol = m.Volume(1, 3)
     params, bc, frozen = RUN_SETTINGS[setting]
-    monkeypatch.setattr(mcmc, "_LIST_SCAN_SITES", 10 ** 9 if scan == "list" else 0)
+    if scan == "list":               # every block counts as dense
+        monkeypatch.setattr(mcmc, "_DENSE_FLIPS", -1.0)
+    elif scan == "numpy":            # the event scan throughout, in windows
+        monkeypatch.setattr(mcmc, "_LIST_SCAN_SITES", 0)   # of one or two sweeps
+        monkeypatch.setattr(mcmc, "_EVENT_WINDOW", 12)
+    else:                            # blocks of 3 sweeps, two to a chunk
+        monkeypatch.setattr(mcmc, "_BLOCK_SWEEPS", 3)
     monkeypatch.setattr(mcmc, "_CHUNK_BYTES", 4 * 8 * vol.n_sites)   # 4 sweeps a chunk
     K = 30                           # spans seven chunk boundaries
     batched, single = (mcmc.sampler_new(vol, params, bc, seed=23, initial="random",
                                         frozen=frozen) for _ in range(2))
+    used = _record_scans(monkeypatch)
     rows = mcmc.run(batched, K, rule, record=True)
     assert rows.dtype == np.int8 and rows.shape == (K, vol.n_sites)
+    if scan == "switch" and setting == "frozen":
+        seq = " ".join(used)         # both ways round, more than once
+        assert seq.count("_list_scan _event_scan") >= 2
+        assert seq.count("_event_scan _list_scan") >= 2
+    else:
+        assert set(used) == {"_event_scan" if scan == "numpy" else "_list_scan"}
     for row in rows:
         assert mcmc.run(single, 1, rule) is None
         assert np.array_equal(row, single.config)
@@ -360,6 +389,12 @@ def test_streams_pinned():
     rows = mcmc.run(st, 50, "heat_bath", record=True)
     assert (st.flips, int((rows < 0).sum())) == (135, 6801)
     assert _config_rows(st, 17) == ("--------+++++++++",) * 17
+    # flip density near the scan switch: blocks run both scans
+    st = mcmc.sampler_new(m.Volume(1, 16), m.ModelParams(0.6, m.PowerLaw(1.0, 1.5)),
+                          m.free_bc(), seed=5, initial="random")
+    rows = mcmc.run(st, 2000, "metropolis", record=True)
+    assert (st.flips, int((rows < 0).sum())) == (2341, 23283)
+    assert _config_rows(st, 33) == ("---------+-------+-----+---------",)
 
 
 @pytest.mark.parametrize("rule, initial, want", [("metropolis", "minus", 1.0),

@@ -266,9 +266,21 @@ def _point_sample(args):
 
 
 def run_config(cfg: dict, workers: int = 1) -> dict:
-    """Execute a validated config; returns the full result record."""
-    sub = cfg["subcommand"]
+    """Execute a validated config; returns the full result record.  Input
+    that the subcommand rejects (a ValueError) raises ConfigError."""
     t0 = time.time()
+    try:
+        rows, extra = _run_subcommand(cfg, workers)
+    except ConfigError:
+        raise
+    except ValueError as err:
+        raise ConfigError(f"{cfg['subcommand']}: {err}") from err
+    return {"config": cfg, "tool_version": __version__, "seed": int(cfg.get("seed", 0)),
+            "rows": rows, "wall_clock_s": time.time() - t0, **extra}
+
+
+def _run_subcommand(cfg: dict, workers: int) -> tuple:
+    sub = cfg["subcommand"]
     rows, extra = [], {}
 
     if sub in ("enumerate", "sample"):
@@ -319,16 +331,7 @@ def run_config(cfg: dict, workers: int = 1) -> dict:
         rows = [{"check": name, "ok": ok, "detail": detail}
                 for name, ok, detail in results]
         extra["all_ok"] = all(ok for _, ok, _ in results)
-
-    record = {
-        "config": cfg,
-        "tool_version": __version__,
-        "seed": int(cfg.get("seed", 0)),
-        "rows": rows,
-        "wall_clock_s": time.time() - t0,
-    }
-    record.update(extra)
-    return record
+    return rows, extra
 
 
 def _run_probe(cfg: dict, which: str) -> tuple:

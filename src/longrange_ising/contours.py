@@ -476,14 +476,12 @@ def serialize_configuration(vol: model.Volume, config) -> str:
 
 
 def parse_configuration(text: str) -> tuple:
-    pairs = {}
-    for line in text.strip().splitlines():
-        site, spin = line.split(":")
-        pairs[int(site)] = int(spin)
-    L = max(abs(s) for s in pairs)
-    vol = model.Volume(1, L)
-    cfg = np.array([pairs[s] for s in vol.sites()], dtype=np.int8)
-    return vol, model.as_configuration(vol, cfg)
+    """Inverse of serialize_configuration; malformed text raises ValueError."""
+    pairs = dict(tuple(int(v) for v in line.split(":")) for line in text.strip().splitlines())
+    vol = model.Volume(1, max(abs(s) for s in pairs))
+    if len(pairs) < vol.n_sites or set(pairs.values()) - {-1, 1}:
+        raise ValueError("configuration needs a spin +1 or -1 at every site -L..L")
+    return vol, model.as_configuration(vol, [pairs[s] for s in vol.sites()])
 
 
 def serialize_family(family: TriangleFamily) -> str:

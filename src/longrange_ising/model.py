@@ -22,8 +22,9 @@ from .util import CapacityError, ENUMERATION_SITE_CAP, byte_lru_cache, iter_spin
 
 Site = Union[int, tuple]
 
-#: Partial-sum length before switching to the Euler-Maclaurin closed tail.
-EM_CROSSOVER = 10_000
+#: Smallest summand base left to the Euler-Maclaurin closed tail; smaller
+#: bases are summed directly.
+EM_CROSSOVER = 64
 
 #: Bytes of one streamed tile of the split enumeration (see _split_sums).
 TILE_BYTES = 16 << 20
@@ -32,12 +33,10 @@ TILE_BYTES = 16 << 20
 MATRIX_SITE_CAP = 4096
 
 #: Byte budgets of the caches of coupling matrices (one 4096-site matrix is
-#: 128 MiB), boundary-field vectors (8 vectors at L = 2048; a beta-ladder
-#: reads its vector right after building it) and tail tables (80 KiB each
-#: at the default crossover; a 2d isotropic field reads five).
+#: 128 MiB) and boundary-field vectors (8 vectors at L = 2048; a beta-ladder
+#: reads its vector right after building it).
 MATRIX_CACHE_BYTES = 256 << 20
 FIELD_CACHE_BYTES = 256 << 10
-TAIL_CACHE_BYTES = 512 << 10
 
 #: Bytes of one (sites x near-zone) power-matrix block of a field vector.
 NEAR_BLOCK_BYTES = 4 << 20
@@ -261,66 +260,60 @@ def coupling_matrix(vol: Volume, spec: CouplingSpec) -> np.ndarray:
 
 
 def _em_tail(alpha: float, m):
-    """Euler-Maclaurin closed form of Sum_{i >= 0} (m + i)^(-alpha), with
-    corrections through the m^(-alpha-3) term; the neglected Bernoulli term
-    is O(m^(-alpha-5)).  `m` may be an array."""
-    return (m ** (1.0 - alpha) / (alpha - 1.0)
-            + 0.5 * m ** (-alpha)
-            + alpha / 12.0 * m ** (-alpha - 1.0)
-            - alpha * (alpha + 1.0) * (alpha + 2.0) / 720.0 * m ** (-alpha - 3.0))
+    """Euler-Maclaurin closed form of Sum_{i >= 0} (m + i)^(-alpha), with the
+    Bernoulli corrections B2..B10; the first omitted term is O(m^(-alpha-11)),
+    below 1e-17 relative from m = 64 on for alpha <= 10.  `m` may be an array.
 
-
-@byte_lru_cache(TAIL_CACHE_BYTES)
-def _tail_table(alpha: float, frac: float, M: int) -> np.ndarray:
-    """Read-only suffix[j] = Sum_{j < k <= M} (k + frac)^(-alpha), j = 0..M.
-
-    Accumulated from the small (k = M) end, so every entry keeps its full
-    relative precision; total minus a prefix sum would not."""
-    suffix = np.zeros(M + 1)
-    terms = (np.arange(M, 0, -1, dtype=np.float64) + frac) ** (-alpha)
-    suffix[:M] = np.cumsum(terms)[::-1]
-    suffix.setflags(write=False)
-    return suffix
+    p_k = (alpha)_k / m^k is carried as p_{k+2} = p_k (alpha+k)(alpha+k+1)/m^2.
+    """
+    p = alpha / m
+    total = 0.5 + p / 12.0
+    for k, b in ((1, -720.0), (3, 30240.0), (5, -1209600.0), (7, 47900160.0)):
+        p = p * (alpha + k) * (alpha + k + 1.0) / (m * m)
+        total = total + p / b
+    return m ** (1.0 - alpha) / (alpha - 1.0) + m ** (-alpha) * total
 
 
 def hurwitz_tail(alpha: float, shift: float = 0.0, start=0,
                  em_crossover: int = EM_CROSSOVER):
-    """Sum_{k > start} (k + shift)^(-alpha) to ~1e-12 relative error.
+    """Sum_{k > start} (k + shift)^(-alpha) to ~1e-15 relative error.
 
-    The integer part of `shift` moves into `start`, so all shifts with one
-    fractional part share one suffix table (_tail_table) of the direct sum
-    through index em_crossover; the Euler-Maclaurin closed form takes the
-    rest.  `start` may be an integer array, giving one tail per entry.
+    Terms whose base k + shift lies below em_crossover are summed directly,
+    smallest first; the Euler-Maclaurin closed form takes the rest from the
+    first base at or above it.  `start` may be an integer array, giving one
+    tail per entry: its bases share the fractional part of `shift`, so every
+    head ends at the same base and one reversed cumsum serves them all.
     """
     if alpha <= 1:
         raise ValueError("tail sum diverges for alpha <= 1")
-    whole = math.floor(shift)
-    frac = shift - whole
-    vector = np.ndim(start) > 0
-    j = np.asarray(start, dtype=np.int64) + whole if vector else int(start) + whole
-    if (j.min() if vector else j) + 1 + frac <= 0:
-        raise ValueError("summand base must stay positive")
     M = em_crossover
-    if vector:
-        out = _em_tail(alpha, np.maximum(j, M) + (1.0 + frac))
-        inside = j < M
-        if inside.any():
-            out[inside] += _tail_table(alpha, frac, M)[np.maximum(j[inside], 0)]
-        if frac:
-            out[j < 0] += frac ** (-alpha)
-        return out
-    if j >= M:
-        return _em_tail(alpha, j + 1.0 + frac)
-    total = float(_tail_table(alpha, frac, M)[max(j, 0)]) + _em_tail(alpha, M + 1.0 + frac)
-    # j = -1 leaves the k = 0 term (frac > 0 here) outside the table
-    return total + frac ** (-alpha) if j < 0 else total
+    if isinstance(start, (int, np.integer)) or np.ndim(start) == 0:
+        m = int(start) + 1.0 + shift
+        if m <= 0:
+            raise ValueError("summand base must stay positive")
+        n = max(math.ceil(M - m), 0)
+        total = 0.0
+        for i in range(n - 1, -1, -1):
+            total += (m + i) ** (-alpha)
+        return total + _em_tail(alpha, m + n)
+    m = np.asarray(start, dtype=np.float64) + 1.0 + shift
+    lo = float(m.min())
+    if lo <= 0:
+        raise ValueError("summand base must stay positive")
+    n = max(math.ceil(M - lo), 0)
+    out = _em_tail(alpha, np.maximum(m, lo + n))
+    head = m < lo + n
+    if head.any():
+        suffix = np.cumsum((lo + np.arange(n - 1, -1, -1.0)) ** (-alpha))[::-1]
+        out[head] += suffix[np.rint(m[head] - lo).astype(np.int64)]
+    return out
 
 
-def tail_coupling_sum(alpha: float, N: int, em_crossover: int = EM_CROSSOVER) -> float:
+def tail_coupling_sum(alpha: float, N: int) -> float:
     """Sum_{k > N} k^(-alpha), the unit-amplitude coupling tail."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    return hurwitz_tail(alpha, 0.0, N, em_crossover)
+    return hurwitz_tail(alpha, 0.0, N)
 
 
 def _boole_tail(alpha: float, m):
@@ -340,7 +333,7 @@ def alternating_tail(alpha: float, shift: float = 0.0, start=0,
     integer array.
 
     Near in, an even/odd split into two Hurwitz tails (shifts shift/2 and
-    shift/2 - 1/2, so the suffix tables are shared).  Their difference
+    shift/2 - 1/2).  Their difference
     cancels about log10(m) digits at base m = start + 1 + shift, so from
     m >= 40 (alpha + 1) on the Boole closed form takes over; its first
     omitted term is below 1e-16 relative there.
@@ -722,51 +715,53 @@ def _add_nn_bonds(h: np.ndarray, vol: Volume, bc: BoundaryCondition, strength: f
                 h[:, edge] += strength * np.array([bc.spin_at((c, y)) for c in cs])
 
 
-def _field_2d_isotropic(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
-                        x: Site, em_crossover: int) -> float:
+def _isotropic_field(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
+                     em_crossover: int) -> np.ndarray:
+    """Power-law part of h[x1, x2] for 2d isotropic couplings: every exterior
+    row adds its sign times its row sum to the whole array, in row order,
+    then the pattern overrides; row signs are read once per vector."""
     L = vol.half_width
-    x1, x2 = x
-    amp = spec.strength if isinstance(spec, PowerLaw) else 1.0
     alpha = spec.alpha
     if alpha <= 2:
         raise ValueError("2d isotropic tails need alpha > 2")
-
+    amp = spec.strength if isinstance(spec, PowerLaw) else 1.0
+    cs = np.arange(-L, L + 1)
     bmax = max((abs(r.region.boundary) for r in bc.rules
                 if isinstance(r, RegionRule) and isinstance(r.region, HalfPlane)),
                default=0)
     y_bound = max(L, bmax) + ROW_ASYMPTOTIC_DISTANCE + L
+    sign = {y2: bc.row_sign(y2) for y2 in range(-y_bound - 1, y_bound + 2)}
 
-    total = 0.0
+    h = np.zeros((vol.side, vol.side))
+    half = None                          # half[x1, d]: both half rows at distance d
     for y2 in range(-y_bound, y_bound + 1):
-        s = bc.row_sign(y2)
+        s = sign[y2]
         if s == 0:
             continue
-        d = abs(y2 - x2)
+        d = np.abs(y2 - cs)
         if abs(y2) <= L:
-            contrib = (_half_row_sum(alpha, d, L + 1 - x1, em_crossover)
-                       + _half_row_sum(alpha, d, L + 1 + x1, em_crossover))
+            if half is None:
+                half = np.array([[_half_row_sum(alpha, k, L + 1 - x1, em_crossover)
+                                  + _half_row_sum(alpha, k, L + 1 + x1, em_crossover)
+                                  for k in range(vol.side)] for x1 in range(-L, L + 1)])
+            h += s * half[:, d]
         else:
-            contrib = _full_row_sum(alpha, d, em_crossover)
-        total += s * contrib
+            h += s * np.array([_full_row_sum(alpha, int(k), em_crossover) for k in d])
 
     # rows beyond y_bound: Poisson asymptotic row sums, then a Hurwitz tail
     c = _row_asymptotic_coeff(alpha)
-    s_up = bc.row_sign(y_bound + 1)
-    s_dn = bc.row_sign(-y_bound - 1)
-    if s_up:
-        total += s_up * c * hurwitz_tail(alpha - 1.0, 0.0, y_bound - x2, em_crossover)
-    if s_dn:
-        total += s_dn * c * hurwitz_tail(alpha - 1.0, 0.0, y_bound + x2, em_crossover)
-    total *= amp
+    for s, starts in ((sign[y_bound + 1], y_bound - cs), (sign[-y_bound - 1], y_bound + cs)):
+        if s:
+            h += s * c * hurwitz_tail(alpha - 1.0, 0.0, starts, em_crossover)
+    h *= amp
 
     # finite pattern overrides relative to the row baseline
     for site, val in bc.pattern_sites():
-        if not vol.contains(site):
-            base = bc.row_sign(site[1])
-            if val != base:
-                total += (val - base) * coupling_value(spec, x, site)
-
-    return total
+        delta = val - bc.row_sign(site[1])
+        if delta and not vol.contains(site):
+            h += delta * np.array([coupling_value(spec, x, site)
+                                   for x in vol.sites()]).reshape(h.shape)
+    return h
 
 
 def boundary_field(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition, x: Site,
@@ -782,8 +777,8 @@ def boundary_field(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition, x: Si
 def _field_vector(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
                   em_crossover: int) -> np.ndarray:
     """The one field builder.  1d and axis couplings sum each near zone as
-    one power-matrix product and gather the ray tails from the suffix
-    tables; 2d isotropic sites loop over the cached row sums."""
+    one power-matrix product plus vector ray tails; 2d isotropic couplings
+    add their row sums to the whole array (_isotropic_field)."""
     validate_coupling(spec, vol.dimension)
     shape = (vol.side,) * vol.dimension
     if isinstance(spec, AnisotropicAxes):
@@ -797,8 +792,7 @@ def _field_vector(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
         elif vol.dimension == 1:
             h = _line_field(vol, spec, bc, em_crossover)
         else:
-            h = np.array([_field_2d_isotropic(vol, spec, bc, x, em_crossover)
-                          for x in vol.sites()]).reshape(shape)
+            h = _isotropic_field(vol, spec, bc, em_crossover)
     if nn:
         _add_nn_bonds(h, vol, bc, nn, axes)
     h = h.ravel()
@@ -806,12 +800,11 @@ def _field_vector(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
     return h
 
 
-def boundary_field_vector(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
-                          em_crossover: int = EM_CROSSOVER) -> np.ndarray:
+def boundary_field_vector(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition) -> np.ndarray:
     """Read-only h_x over all sites, cached under one key per argument set
     however the call spells it (the cache itself keys positional arguments
     only)."""
-    return _field_vector(vol, spec, bc, em_crossover)
+    return _field_vector(vol, spec, bc, EM_CROSSOVER)
 
 
 boundary_field_vector.cache_info = _field_vector.cache_info
@@ -872,12 +865,11 @@ def as_configuration(vol: Volume, values) -> np.ndarray:
 
 
 def hamiltonian(vol: Volume, params: ModelParams, bc: BoundaryCondition,
-                config, em_crossover: int = EM_CROSSOVER) -> float:
+                config) -> float:
     """H = -sum_{unordered pairs} J s s - sum_x s_x (h^bc_x + h_x)."""
     s = as_configuration(vol, config).astype(np.float64)
     J = coupling_matrix(vol, params.coupling)
-    fields = boundary_field_vector(vol, params.coupling, bc, em_crossover) \
-        + external_field_vector(vol, params)
+    fields = boundary_field_vector(vol, params.coupling, bc) + external_field_vector(vol, params)
     return float(-0.5 * s @ (J @ s) - s @ fields)
 
 
@@ -1002,14 +994,13 @@ def specification_kernel(vol: Volume, params: ModelParams, bc: BoundaryCondition
     return math.exp(-params.beta * H - log_partition(vol, params, bc))
 
 
-def excess_energy(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition = None,
-                  em_crossover: int = EM_CROSSOVER) -> float:
+def excess_energy(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition = None) -> float:
     """Cost of flipping the whole volume against its boundary condition:
     2 * sum_{x in volume} sum_{y outside} J_xy (plus b.c. by default)."""
     if vol.dimension != 1:
         raise ValueError("excess energy is defined on 1d volumes")
     bc = bc or plus_bc()
-    return 2.0 * float(np.sum(boundary_field_vector(vol, spec, bc, em_crossover)))
+    return 2.0 * float(np.sum(boundary_field_vector(vol, spec, bc)))
 
 
 def decimate(vol: Volume, config) -> tuple:

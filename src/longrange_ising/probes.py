@@ -323,8 +323,7 @@ def dobrushin_shift_energy(alpha: float, L: int = 2048, n_points: int = 5) -> tu
     return values[L], slope
 
 
-def gs_step_energy(alpha: float, cutoff: int = 256,
-                   em_crossover: int = model.EM_CROSSOVER) -> tuple:
+def gs_step_energy(alpha: float, cutoff: int = 256) -> tuple:
     """(truncated step cost, rigorous tail bound) for flipping the negative
     half-line of the split ground state.
 
@@ -339,7 +338,7 @@ def gs_step_energy(alpha: float, cutoff: int = 256,
     # every pair dropped by the truncation has d > cutoff
     ds = np.arange(1, cutoff + 1, dtype=np.float64)
     value = 2.0 * float(np.sum(ds ** (1.0 - alpha)))
-    tail = 2.0 * model.hurwitz_tail(alpha - 1.0, 0.0, cutoff, em_crossover)
+    tail = 2.0 * model.hurwitz_tail(alpha - 1.0, 0.0, cutoff)
     return value, tail
 
 

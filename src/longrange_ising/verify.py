@@ -53,14 +53,14 @@ def _check_flip_symmetry():
 
 
 def _check_tail_doubling():
-    vol = model.Volume(1, 3)
-    worst = 0.0
-    for spec in (model.PowerLaw(1.0, 1.5), model.PowerLaw(1.0, 2.5)):
-        for bc in (model.plus_bc(), model.alternating_bc()):
-            for x in (-3, 0, 2):
-                a = model.boundary_field(vol, spec, bc, x, em_crossover=10_000)
-                b = model.boundary_field(vol, spec, bc, x, em_crossover=20_000)
-                worst = max(worst, abs(a - b))
+    line, square, C = model.Volume(1, 3), model.Volume(2, 2), model.EM_CROSSOVER
+    cases = [(line, model.PowerLaw(1.0, a), bc) for a in (1.5, 2.5)
+             for bc in (model.plus_bc(), model.alternating_bc())]
+    cases += [(square, model.PowerLaw(1.0, 2.5), model.plus_bc()),
+              (square, model.IsotropicMixed(1.0, 3.0), model.dobrushin2d_bc(1))]
+    worst = max(abs(model.boundary_field(vol, spec, bc, x, em_crossover=C)
+                    - model.boundary_field(vol, spec, bc, x, em_crossover=2 * C))
+                for vol, spec, bc in cases for x in vol.sites())
     return worst < 1e-10, f"max doubled-crossover shift = {worst:.3e}"
 
 

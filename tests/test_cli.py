@@ -218,6 +218,18 @@ def test_cli_exit_codes(tmp_path):
     proc = run_cli(["run", "--config", str(big)])
     assert proc.returncode == 3
 
+    # out-of-range input raised inside a subcommand is a config error too
+    cases = [["probe", "decimation", "--alpha", "2.5"], ["probe", "shift", "--alpha", "1.5"],
+             ["probe", "gs-step", "--alpha", "1.5"], ["interface", "--L", "0"]]
+    for i, text in enumerate(("abc", "0:+1\n1:+2", "0:+1\n-1:-1")):
+        path = tmp_path / f"config{i}.txt"
+        path.write_text(text)
+        cases.append(["contours", "--decompose", str(path)])
+    for args in cases:
+        proc = run_cli(args)
+        assert proc.returncode == 2, args
+        assert "config error" in proc.stderr, args
+
 
 def test_cli_verify_quick_green():
     proc = run_cli(["verify", "--quick"])

@@ -117,18 +117,20 @@ def test_alternating_tail_brute():
     assert m.alternating_tail(alpha, shift, start) == pytest.approx(brute, abs=1e-9)
 
 
-TAIL_STARTS = (0, 1, m.EM_CROSSOVER - 1, m.EM_CROSSOVER, m.EM_CROSSOVER + 1, 5 * m.EM_CROSSOVER)
+TAIL_STARTS = (0, 1, m.EM_CROSSOVER - 1, m.EM_CROSSOVER, m.EM_CROSSOVER + 1, 5 * m.EM_CROSSOVER,
+               10_000)
 
 
-@pytest.mark.parametrize("alpha", (1.2, 1.5, 2.5, 4.0))
+# alpha up to 9.5: the binomial tails of _half_row_sum reach alpha + 6
+@pytest.mark.parametrize("alpha", (1.05, 1.2, 1.5, 2.5, 4.0, 9.5))
 def test_tails_match_mpmath_zeta(alpha):
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
-    for shift in (0.0, -0.5, 0.5, 3.0, 17.25):
+    for shift in (0.0, -0.5, 0.5, 3.0, 3.7, 17.0, 17.25):
         for start in TAIL_STARTS:
             base = mpmath.mpf(start) + 1 + mpmath.mpf(shift)
             want = mpmath.zeta(alpha, base)
-            assert abs(m.hurwitz_tail(alpha, shift, start) / want - 1) <= 1e-12
+            assert abs(m.hurwitz_tail(alpha, shift, start) / want - 1) <= 1e-14
             # sum_{k > start} (-1)^k (k + shift)^-a from two half-step zetas
             want = (-1) ** (start + 1) * mpmath.mpf(2) ** -alpha * (
                 mpmath.zeta(alpha, base / 2) - mpmath.zeta(alpha, (base + 1) / 2))
@@ -211,13 +213,16 @@ def test_boundary_field_near_zone_brute(kind, alpha):
 
 
 def test_boundary_field_tail_crossover_doubling():
-    vol = m.Volume(1, 3)
-    for spec in (m.PowerLaw(1.0, 1.5), m.IsotropicMixed(9.0, 1.8)):
-        for bc in (m.plus_bc(), m.alternating_bc(), m.dobrushin1d_bc()):
-            for x in (-3, 0, 2):
-                a = m.boundary_field(vol, spec, bc, x, em_crossover=10_000)
-                b = m.boundary_field(vol, spec, bc, x, em_crossover=20_000)
-                assert abs(a - b) < 1e-10
+    cases = [(m.Volume(1, 3), spec, bc)
+             for spec in (m.PowerLaw(1.0, 1.5), m.IsotropicMixed(9.0, 1.8))
+             for bc in (m.plus_bc(), m.alternating_bc(), m.dobrushin1d_bc())]
+    cases += [(m.Volume(2, 2), m.PowerLaw(1.0, 2.5), m.plus_bc()),
+              (m.Volume(2, 2), m.IsotropicMixed(1.0, 3.0), m.dobrushin2d_bc(1))]
+    for vol, spec, bc in cases:
+        for x in vol.sites():
+            a = m.boundary_field(vol, spec, bc, x, em_crossover=m.EM_CROSSOVER)
+            b = m.boundary_field(vol, spec, bc, x, em_crossover=2 * m.EM_CROSSOVER)
+            assert abs(a - b) < 1e-10
 
 
 def test_boundary_field_2d_isotropic_brute():
@@ -236,6 +241,49 @@ def test_boundary_field_2d_isotropic_brute():
                 s = bc.spin_at((y1, y2))
                 brute += s * math.hypot(y1 - x[0], y2 - x[1]) ** -alpha
         assert abs(got - brute) < ring_bound + 1e-12
+
+
+def _isotropic_site_field(vol, spec, bc, x, y_bound, tails):
+    """Per-site reference for _isotropic_field: the same row sums added in
+    the same order; `tails` are the (up, down) asymptotic tails at x2."""
+    L, (x1, x2), a = vol.half_width, x, spec.alpha
+    total = 0.0
+    for y2 in range(-y_bound, y_bound + 1):
+        s, d = bc.row_sign(y2), abs(y2 - x2)
+        if s and abs(y2) <= L:
+            total += s * (m._half_row_sum(a, d, L + 1 - x1, m.EM_CROSSOVER)
+                          + m._half_row_sum(a, d, L + 1 + x1, m.EM_CROSSOVER))
+        elif s:
+            total += s * m._full_row_sum(a, d, m.EM_CROSSOVER)
+    c = m._row_asymptotic_coeff(a)
+    for s, tail in zip((bc.row_sign(y_bound + 1), bc.row_sign(-y_bound - 1)), tails):
+        if s:
+            total += s * c * tail
+    total *= spec.strength if isinstance(spec, m.PowerLaw) else 1.0
+    for site, val in bc.pattern_sites():
+        if not vol.contains(site) and val != bc.row_sign(site[1]):
+            total += (val - bc.row_sign(site[1])) * m.coupling_value(spec, x, site)
+    return total
+
+
+@pytest.mark.parametrize("spec", [m.PowerLaw(0.7, 2.5), m.IsotropicMixed(2.0, 3.0)])
+def test_isotropic_field_matches_per_site_sum(spec):
+    # the whole-array builder adds each site's terms in the per-site order
+    # (volume, boundary, largest |half-plane boundary|)
+    for vol, bc, bmax in [(m.Volume(2, 2), m.plus_bc(), 0),
+                          (m.Volume(2, 3), m.dobrushin2d_bc(5), 5),
+                          (m.Volume(2, 2), m.plus_bc().with_pattern({(0, 4): -1, (-3, 1): -1}), 0),
+                          (m.Volume(2, 1), m.pattern_bc({(0, 2): 1}), 0)]:
+        L = vol.half_width
+        y_bound = max(L, bmax) + m.ROW_ASYMPTOTIC_DISTANCE + L
+        cs = np.arange(-L, L + 1)
+        tails = (m.hurwitz_tail(spec.alpha - 1.0, 0.0, y_bound - cs),
+                 m.hurwitz_tail(spec.alpha - 1.0, 0.0, y_bound + cs))
+        h = m._isotropic_field(vol, spec, bc, m.EM_CROSSOVER).ravel()
+        for i, x in enumerate(vol.sites()):
+            want = _isotropic_site_field(vol, spec, bc, x, y_bound,
+                                         (tails[0][x[1] + L], tails[1][x[1] + L]))
+            assert h[i] == want
 
 
 def test_boundary_field_2d_axes_brute():
@@ -315,7 +363,7 @@ def test_hamiltonian_brute_oracle():
 
 
 def test_field_vector_shares_one_cache_key():
-    # 3-argument, defaulted and explicit-crossover calls hit one entry
+    # 3-argument, keyword and single-site calls hit one entry
     vol = m.Volume(1, 3)
     params = m.ModelParams(1.0, m.PowerLaw(1.0, 1.5))
     bc = m.plus_bc()
@@ -325,7 +373,8 @@ def test_field_vector_shares_one_cache_key():
     misses = m.boundary_field_vector.cache_info().misses
     m.hamiltonian(vol, params, bc, m.all_plus(vol))
     m.excess_energy(vol, params.coupling, bc)
-    m.boundary_field_vector(vol, params.coupling, bc, em_crossover=m.EM_CROSSOVER)
+    m.boundary_field_vector(vol, spec=params.coupling, bc=bc)
+    m.boundary_field(vol, params.coupling, bc, 0)
     assert m.boundary_field_vector.cache_info().misses == misses
 
 

@@ -10,6 +10,7 @@ rule dist(T, T') > min(|T|, |T'|) among equal-sign members.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -134,6 +135,8 @@ class ContourFamily:
 
 
 def _edge_spins(vol: model.Volume, bc: model.BoundaryCondition) -> tuple:
+    if vol.dimension != 1:
+        raise ValueError("flip points are 1d geometry")
     L = vol.half_width
     lo, hi = bc.spin_at(-L - 1), bc.spin_at(L + 1)
     if lo == 0 or hi == 0:
@@ -143,14 +146,10 @@ def _edge_spins(vol: model.Volume, bc: model.BoundaryCondition) -> tuple:
 
 def spin_flip_points(vol: model.Volume, config, bc: model.BoundaryCondition) -> list:
     """Dual points k+1/2 where adjacent spins disagree, boundary included."""
-    if vol.dimension != 1:
-        raise ValueError("flip points are 1d geometry")
-    cfg = model.as_configuration(vol, config)
     lo, hi = _edge_spins(vol, bc)
-    ext = np.concatenate(([lo], cfg, [hi]))
-    ks = np.nonzero(ext[:-1] * ext[1:] == -1)[0]
+    ext = [lo] + model.as_configuration(vol, config).tolist() + [hi]
     L = vol.half_width
-    return [float(k - L - 1) + 0.5 for k in ks]
+    return [float(k - L - 1) + 0.5 for k in range(len(ext) - 1) if ext[k] != ext[k + 1]]
 
 
 def _merge_until_separated(triangles: list, sign: int) -> list:
@@ -179,73 +178,50 @@ def _merge_until_separated(triangles: list, sign: int) -> list:
         ts = ts[:i] + [merged] + ts[j + 1:]
 
 
-def _decompose_segment(vol: model.Volume, cfg: np.ndarray, sites: list,
-                       background: int) -> list:
-    """Triangles of the minority sign over a consecutive site segment."""
-    runs, start, prev = [], None, None
-    for s in sites:
-        if cfg[vol.index(s)] == -background:
-            if start is None:
-                start = s
-        elif start is not None:
-            runs.append((start, prev))
-            start = None
-        prev = s
-    if start is not None:
-        runs.append((start, prev))
-    triangles = [Triangle(a - 0.5, b + 0.5, -background) for a, b in runs]
+def _decompose_segment(spins: list, first: int, background: int) -> list:
+    """Triangles of the minority sign over the consecutive sites first,
+    first + 1, ... carrying `spins`."""
+    triangles, s = [], first
+    for spin, run in itertools.groupby(spins):
+        k = len(list(run))
+        if spin == -background:
+            triangles.append(Triangle(s - 0.5, s + k - 0.5, -background))
+        s += k
     return _merge_until_separated(triangles, -background)
 
 
-def _is_dobrushin(vol: model.Volume, bc: model.BoundaryCondition) -> bool:
-    lo, hi = _edge_spins(vol, bc)
-    return lo == -1 and hi == 1
+def _interface(L: int, spins: list) -> float:
+    """interface_point of the spin list of sites -L..L under minus/plus
+    boundaries.
 
-
-def _ascending_candidates(vol: model.Volume, cfg: np.ndarray,
-                          bc: model.BoundaryCondition) -> list:
-    """Flip points with minus on the left and plus on the right."""
-    L = vol.half_width
-    lo, hi = _edge_spins(vol, bc)
-    ext = np.concatenate(([lo], cfg, [hi]))
-    out = []
-    for k in range(len(ext) - 1):
-        if ext[k] == -1 and ext[k + 1] == 1:
-            out.append(float(k - L - 1) + 0.5)
-    return out
-
-
-def _select_interface(vol: model.Volume, cfg: np.ndarray, candidates: list) -> float:
-    """Deterministic interface choice, equivariant under reflect-and-flip.
-
-    Primary key: fewest minority sites; then closeness to the center; a
-    remaining two-way tie is broken toward the side the center spin favors.
+    The candidates are the flip points with minus on the left and plus on
+    the right.  Primary key: fewest minority sites (plus sites left of the
+    point, minus sites right of it), counted directly; then closeness to the
+    center; a remaining two-way tie is broken toward the side the center spin
+    favors, which keeps the choice equivariant under reflect-and-flip.
     """
-    sites = np.arange(-vol.half_width, vol.half_width + 1)
-
-    def minority_count(point: float) -> int:
-        left = np.sum((sites < point) & (cfg == 1))
-        right = np.sum((sites > point) & (cfg == -1))
-        return int(left + right)
-
-    keyed = sorted((minority_count(p), abs(p), p) for p in candidates)
-    best = [k for k in keyed if (k[0], k[1]) == (keyed[0][0], keyed[0][1])]
-    if len(best) == 1:
-        return best[0][2]
-    center = cfg[vol.index(0)]
-    pts = sorted(k[2] for k in best)
-    return pts[-1] if center == -1 else pts[0]
+    ext = [-1] + spins + [1]
+    if sum(a != b for a, b in zip(ext, ext[1:])) % 2 == 0:
+        raise AssertionError("split boundaries always give an odd flip count")
+    keyed = []
+    for k in range(len(ext) - 1):          # dual point between sites k-L-1 and k-L
+        if ext[k] == -1 and ext[k + 1] == 1:
+            p = float(k - L - 1) + 0.5
+            keyed.append((spins[:k].count(1) + spins[k:].count(-1), abs(p), p))
+    best = min(keyed)[:2]
+    pts = [p for count, dist, p in keyed if (count, dist) == best]
+    if len(pts) == 1:
+        return pts[0]
+    return max(pts) if spins[L] == -1 else min(pts)
 
 
 def interface_point(vol: model.Volume, config, bc: model.BoundaryCondition = None) -> float:
     """The unique unpaired flip point under minus/plus split boundaries."""
     bc = bc or model.dobrushin1d_bc()
     cfg = model.as_configuration(vol, config)
-    if not _is_dobrushin(vol, bc):
+    if _edge_spins(vol, bc) != (-1, 1):
         raise ValueError("interface point needs minus-left/plus-right boundaries")
-    if len(spin_flip_points(vol, cfg, bc)) % 2 == 0:
-        raise AssertionError("split boundaries always give an odd flip count")
-    return _select_interface(vol, cfg, _ascending_candidates(vol, cfg, bc))
+    return _interface(vol.half_width, cfg.tolist())
 
 
 def interface_points(vol: model.Volume, S, bc: model.BoundaryCondition = None) -> np.ndarray:
@@ -257,7 +233,7 @@ def interface_points(vol: model.Volume, S, bc: model.BoundaryCondition = None) -
     interface_point, which is the reference.
     """
     bc = bc or model.dobrushin1d_bc()
-    if vol.dimension != 1 or not _is_dobrushin(vol, bc):
+    if _edge_spins(vol, bc) != (-1, 1):
         raise ValueError("interface point needs minus-left/plus-right boundaries")
     S = np.asarray(S, dtype=np.int8)
     if S.ndim != 2 or S.shape[1] != vol.n_sites:
@@ -285,14 +261,13 @@ def triangles(vol: model.Volume, config, bc: model.BoundaryCondition) -> Triangl
     cfg = model.as_configuration(vol, config)
     lo, hi = _edge_spins(vol, bc)
     L = vol.half_width
-    sites = list(range(-L, L + 1))
+    spins = cfg.tolist()
     if lo == hi:
-        parts = _decompose_segment(vol, cfg, sites, lo)
-    elif _is_dobrushin(vol, bc):
-        point = interface_point(vol, cfg, bc)
-        left = [s for s in sites if s < point]
-        right = [s for s in sites if s > point]
-        parts = _decompose_segment(vol, cfg, left, -1) + _decompose_segment(vol, cfg, right, 1)
+        parts = _decompose_segment(spins, -L, lo)
+    elif (lo, hi) == (-1, 1):
+        cut = int(_interface(L, spins) + L + 0.5)      # first site right of the point
+        parts = _decompose_segment(spins[:cut], -L, -1) \
+            + _decompose_segment(spins[cut:], cut - L, 1)
     else:
         raise ValueError("boundary must be homogeneous or a minus/plus split")
     return ordered_family(parts)
@@ -303,25 +278,23 @@ def reconstruct(vol: model.Volume, family: TriangleFamily,
     """The unique configuration whose decomposition is the family."""
     lo, hi = _edge_spins(vol, bc)
     L = vol.half_width
-    cfg = np.empty(vol.n_sites, dtype=np.int8)
     if lo == hi:
-        cfg[:] = lo
+        spins = [lo] * vol.n_sites
+    elif interface is None:
+        raise ValueError("split boundaries need the interface point")
     else:
-        if interface is None:
-            raise ValueError("split boundaries need the interface point")
-        for s in range(-L, L + 1):
-            cfg[vol.index(s)] = -1 if s < interface else 1
+        spins = [-1 if s < interface else 1 for s in range(-L, L + 1)]
     seen = set()
     for t in family:
-        for s in t.span_sites():
-            if s in seen:
-                raise ValueError("inconsistent family: overlapping spans")
-            seen.add(s)
+        span = t.span_sites()
+        if not seen.isdisjoint(span):
+            raise ValueError("inconsistent family: overlapping spans")
+        seen.update(span)
         for s in t.flipped_sites():
-            if not vol.contains(s):
+            if not -L <= s <= L:
                 raise ValueError(f"triangle site {s} outside the volume")
-            cfg[vol.index(s)] = t.sign
-    return cfg
+            spins[s + L] = t.sign
+    return np.array(spins, dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------

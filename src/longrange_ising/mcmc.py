@@ -330,7 +330,8 @@ def _blocking_stderr(samples: np.ndarray, n_blocks: int = 32) -> float:
         return float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     usable = (n // n_blocks) * n_blocks
     blocks = samples[:usable].reshape(n_blocks, -1).mean(axis=1)
-    if np.allclose(blocks, blocks[0]):
+    # np.allclose(blocks, blocks[0]) as one reduction
+    if np.abs(blocks - blocks[0]).max() <= 1e-8 + 1e-5 * abs(blocks[0]):
         return 0.0
     return float(blocks.std(ddof=1) / math.sqrt(n_blocks))
 

@@ -177,8 +177,15 @@ def validate_coupling(spec: CouplingSpec, dimension: int) -> None:
 
 def _distance(x: Site, y: Site) -> float:
     if isinstance(x, tuple):
-        return math.hypot(x[0] - y[0], x[1] - y[1])
+        return float(np.hypot(x[0] - y[0], x[1] - y[1]))    # math.hypot differs in the last bit
     return abs(x - y)
+
+
+def _power(d, alpha: float):
+    """d ** (-alpha) through numpy's vectorized power, which Python's ** can
+    miss by one ulp; coupling_value and coupling_row both evaluate it here,
+    so every coupling_value equals its coupling_matrix entry bit for bit."""
+    return np.asarray(d, dtype=np.float64) ** (-alpha)
 
 
 def coupling_value(spec: CouplingSpec, x: Site, y: Site) -> float:
@@ -188,10 +195,10 @@ def coupling_value(spec: CouplingSpec, x: Site, y: Site) -> float:
     if isinstance(spec, NearestNeighbor):
         return spec.strength if _distance(x, y) == 1 else 0.0
     if isinstance(spec, PowerLaw):
-        return spec.strength * _distance(x, y) ** (-spec.alpha)
+        return spec.strength * float(_power(_distance(x, y), spec.alpha))
     if isinstance(spec, IsotropicMixed):
         d = _distance(x, y)
-        return (spec.nn_strength if d == 1 else 0.0) + d ** (-spec.alpha)
+        return (spec.nn_strength if d == 1 else 0.0) + float(_power(d, spec.alpha))
     if isinstance(spec, AnisotropicAxes):
         x1, x2 = x
         y1, y2 = y
@@ -199,9 +206,9 @@ def coupling_value(spec: CouplingSpec, x: Site, y: Site) -> float:
             dv = abs(x2 - y2)
             if spec.vertical == "nn":
                 return 1.0 if dv == 1 else 0.0
-            return float(dv) ** (-float(spec.vertical))
+            return float(_power(dv, float(spec.vertical)))
         if x2 == y2:
-            return float(abs(x1 - y1)) ** (-spec.horizontal_alpha)
+            return float(_power(abs(x1 - y1), spec.horizontal_alpha))
         return 0.0
     raise TypeError(f"unknown coupling spec {spec!r}")
 
@@ -223,9 +230,9 @@ def coupling_row(vol: Volume, spec: CouplingSpec, site: Site) -> np.ndarray:
     if isinstance(spec, NearestNeighbor):
         row[d == 1] = spec.strength
     elif isinstance(spec, PowerLaw):
-        row[nz] = spec.strength * d[nz] ** (-spec.alpha)
+        row[nz] = spec.strength * _power(d[nz], spec.alpha)
     elif isinstance(spec, IsotropicMixed):
-        row[nz] = d[nz] ** (-spec.alpha)
+        row[nz] = _power(d[nz], spec.alpha)
         row[d == 1] += spec.nn_strength
     elif isinstance(spec, AnisotropicAxes):
         same_col = dx1 == 0
@@ -235,9 +242,9 @@ def coupling_row(vol: Volume, spec: CouplingSpec, site: Site) -> np.ndarray:
             row[same_col & (dv == 1)] = 1.0
         else:
             m = same_col & (dv > 0)
-            row[m] = dv[m] ** (-float(spec.vertical))
+            row[m] = _power(dv[m], float(spec.vertical))
         m = same_row & (np.abs(dx1) > 0)
-        row[m] = np.abs(dx1[m]) ** (-spec.horizontal_alpha)
+        row[m] = _power(np.abs(dx1[m]), spec.horizontal_alpha)
     return row
 
 
@@ -759,8 +766,7 @@ def _isotropic_field(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
     for site, val in bc.pattern_sites():
         delta = val - bc.row_sign(site[1])
         if delta and not vol.contains(site):
-            h += delta * np.array([coupling_value(spec, x, site)
-                                   for x in vol.sites()]).reshape(h.shape)
+            h += delta * coupling_row(vol, spec, site).reshape(h.shape)
     return h
 
 

@@ -347,14 +347,12 @@ def gs_reflection_cancellation(alpha: float, R: int = 64) -> float:
 
     Couplings from the flipped half-line to sites strictly above the axis
     against those to their reflections below; zero up to float rounding."""
-    above = 0.0
-    below = 0.0
-    for i in range(-R, R + 1):
-        for j in range(1, R + 1):
-            for k in range(-R, 1):
-                above += math.hypot(i - k, j - 0) ** (-alpha)
-                below += math.hypot(i - k, -j - 0) ** (-alpha)
-    return abs(above - below)
+    i = np.arange(-R, R + 1)[:, None, None]
+    j = np.arange(1, R + 1)[None, :, None]
+    k = np.arange(-R, 1)[None, None, :]
+    above = np.sum(np.hypot(i - k, j) ** (-alpha))
+    below = np.sum(np.hypot(i - k, -j) ** (-alpha))
+    return float(abs(above - below))
 
 
 # ---------------------------------------------------------------------------

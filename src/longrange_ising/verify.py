@@ -1,7 +1,8 @@
 """Named invariant checks behind the `verify` subcommand.
 
-Each check returns (ok, detail).  The quick set stays under two minutes on
-commodity hardware; the full set adds the slower enumeration sweeps.
+Each check returns (ok, detail).  The quick set takes about 50 ms of CPU
+time (0.4 s for the whole command, start-up included) on a 2-vCPU x86-64
+VM; the full set adds the slower enumeration sweeps.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from longrange_ising import cli
+from longrange_ising import cli, verify
 
 
 def run_cli(args, cwd=None):
@@ -235,6 +235,29 @@ def test_cli_verify_quick_green():
     proc = run_cli(["verify", "--quick"])
     assert proc.returncode == 0
     assert "FAIL" not in proc.stderr
+
+
+# verify --quick rows, detail strings included, as printed at commit a60c815:
+# the `verify` record stays byte-identical while its checks get faster.
+QUICK_ROWS = [
+    ("kernel-normalization", True, "max |sum - 1| = 2.331e-15"),
+    ("dlr-consistency", True, "max deviation = 2.220e-16"),
+    ("spin-flip-symmetry", True, "max |H(s|w) - H(-s|-w)| = 0.000e+00"),
+    ("tail-crossover-doubling", True, "max doubled-crossover shift = 1.776e-15"),
+    ("triangle-bijection", True, "round-trip and injectivity hold (exhaustive, L <= 3)"),
+    ("contour-grouping", True, "separation and order independence on 25 random families"),
+    ("peierls-series", True, "closed form vs series: 6.939e-18"),
+    ("droplet-exponents", True, "droplet-cost exponents within 0.05 of 2 - alpha"),
+    ("detailed-balance", True, "max |pi P - pi' P'| = 1.041e-17"),
+    ("interface-symmetry", True, "asymmetry 7.08e-16, mass defect 0.00e+00"),
+    ("duplicate-transform", True, "identity True, min coeff 0.00e+00, H dev 7.11e-15"),
+    ("gs-reflection", True, "off-axis residual = 0.000e+00"),
+    ("annulus-bound", True, "L * N^(1-alpha) <= 1 at the returned radius"),
+]
+
+
+def test_verify_quick_rows_pinned():
+    assert verify.run_checks(quick=True) == QUICK_ROWS
 
 
 def test_cli_determinism_bytes(tmp_path):

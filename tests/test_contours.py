@@ -1,5 +1,6 @@
 """Triangle/contour geometry, removal costs, counting bounds, droplet fits."""
 
+import hashlib
 import itertools
 import math
 
@@ -112,6 +113,27 @@ def test_bijection_exhaustive(bc_name):
             key = (iface, tuple((t.left, t.right, t.sign, t.children) for t in fam))
             assert key not in seen
             seen.add(key)
+
+
+# SHA-256 of the outputs below over every configuration with L <= 5 under
+# plus, minus and Dobrushin boundaries, computed at commit a60c815: any other
+# bijection, or a change in a float's value or type, moves it.
+CONTOUR_DIGEST = "ef9758cc21ba3f2c4cc612fab2ae75f1f70f5bff85f6c20b7b69ad129c9a0b40"
+
+
+def test_contour_outputs_pinned():
+    h = hashlib.sha256()
+    for L in range(6):
+        vol = m.Volume(1, L)
+        for bc in (m.plus_bc(), m.minus_bc(), m.dobrushin1d_bc()):
+            for bits in itertools.product((-1, 1), repeat=vol.n_sites):
+                cfg = np.array(bits, dtype=np.int8)
+                parts = [ct.serialize_family(ct.triangles(vol, cfg, bc)),
+                         repr(ct.spin_flip_points(vol, cfg, bc))]
+                if bc.name == "dobrushin1d":
+                    parts.append(repr(ct.interface_point(vol, cfg, bc)))
+                h.update(("|".join(parts) + "\n").encode())
+    assert h.hexdigest() == CONTOUR_DIGEST
 
 
 def test_family_invariants_asserted_in_construction():

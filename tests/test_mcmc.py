@@ -98,6 +98,23 @@ def test_constant_observable_estimate():
     assert est.tau == 0.5
 
 
+def test_blocking_stderr_zero_exactly_when_blocks_allclose():
+    # 32 samples make 32 one-sample blocks, so the blocks are the samples
+    rng = np.random.default_rng(3)
+    cases = [np.full(32, v) for v in (0.0, 1.0, -0.37, 1e6)]
+    for b0 in (0.0, 1.0, -2.5, 1e6):
+        for factor in (0.999, 1.001):
+            blocks = np.full(32, b0)
+            step = factor * (1e-8 + 1e-5 * abs(b0))       # np.allclose's tolerance
+            blocks[int(rng.integers(1, 32))] += step * rng.choice([-1, 1])
+            cases.append(blocks)
+    for scale in (1e-12, 1e-9, 1e-6, 1e-3, 1.0):
+        cases += [b0 + scale * rng.normal(size=32) for b0 in (0.0, 0.5, -1.0)]
+    for blocks in cases:
+        assert (mcmc._blocking_stderr(blocks) == 0.0) == np.allclose(blocks, blocks[0])
+    assert {np.allclose(b, b[0]) for b in cases} == {True, False}
+
+
 def test_beta_zero_mean_near_zero():
     vol = m.Volume(1, 3)
     params = m.ModelParams(0.0, m.PowerLaw(1.0, 1.5))

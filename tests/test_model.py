@@ -60,6 +60,24 @@ def test_coupling_symmetry_random_pairs():
             assert a >= 0.0
 
 
+@pytest.mark.parametrize("vol, spec", [
+    (m.Volume(1, 12), m.PowerLaw(1.0, 1.3)),
+    (m.Volume(1, 12), m.PowerLaw(1.0, 1.7)),
+    (m.Volume(1, 12), m.PowerLaw(0.7, 2.2)),
+    (m.Volume(1, 12), m.PowerLaw(1.0, 3.2)),
+    (m.Volume(1, 12), m.IsotropicMixed(4.0, 1.6)),
+    (m.Volume(2, 4), m.IsotropicMixed(4.0, 2.5)),
+    (m.Volume(2, 4), m.PowerLaw(1.0, 2.5)),
+    (m.Volume(2, 5), m.AnisotropicAxes(1.5, 2.2)),
+    (m.Volume(2, 4), m.AnisotropicAxes(1.5, "nn")),
+])
+def test_coupling_value_matches_matrix_bitwise(vol, spec):
+    sites = vol.sites()
+    values = np.array([[m.coupling_value(spec, x, y) if x != y else 0.0 for y in sites]
+                       for x in sites])
+    assert values.tobytes() == m.coupling_matrix(vol, spec).tobytes()
+
+
 def test_antiferromagnetic_rejected():
     with pytest.raises(ValueError):
         m.PowerLaw(-1.0, 1.5)

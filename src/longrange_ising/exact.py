@@ -4,13 +4,13 @@ Ground truth for everything else: partition functions, expectations,
 conditional laws, the interface-point distribution, consistency checks of
 the finite-volume kernels, and correlation-inequality oracles.
 
-Enumeration splits the free sites into two halves (model._split_sums): each
-half is tabled once, 2**ceil(n/2) and 2**floor(n/2) rows, and the weights of
-every pairing stream through one GEMM tile of about 16 MiB, folded into sums
-kept relative to their running maximum.  Peak memory does not grow with 2**n;
-the cap stays at 24 free sites, which puts the interface law in reach up to
-L = 11.  The DLR check streams the same kind of tile, one block of outer
-configurations against every subvolume configuration, and compares it with
+Enumeration splits the free sites into three blocks (model._split_sums):
+the weights factor into three block-pair matrices, so log Z and the site
+and pair moments come from matrix products, and other observables fold over
+configuration tiles weighted by products of the same matrices.  Peak memory
+does not grow with 2**n; the cap stays at 24 free sites, which puts the
+interface law in reach up to L = 11.  The DLR check streams blocks of outer
+configurations against every subvolume configuration and compares them with
 the brute-force quadratic form (_ReducedSystem.log_weights) block by block,
 so it keeps no array over all 2**n configurations either.
 """
@@ -233,9 +233,9 @@ def dlr_consistency_check(vol: model.Volume, subvol: model.Volume,
     """Max deviation of kernel(vol) from kernel(vol) composed with kernel(subvol).
 
     Streams blocks of outer configurations (the sites of vol outside
-    subvol).  Each block is one log-weight tile, rows x 2**|subvol|, built as
-    the split kernel builds its tiles: each side's own weights from its half
-    table, the cross term from one GEMM.  Its normalized rows are the inner
+    subvol).  Each block is one log-weight tile, rows x 2**|subvol|: each
+    side's own weights from its block table (model._half_table), the cross
+    term from one GEMM.  Its normalized rows are the inner
     kernel given the outer spins.  The full kernel of the same rows is the
     brute-force quadratic form (_ReducedSystem.log_weights) over log Z from
     model.log_partition, and its row sums are the outer marginal.  Both are
@@ -269,7 +269,7 @@ def dlr_consistency_check(vol: model.Volume, subvol: model.Volume,
     worst = 0.0
     for _, SO8 in iter_spin_blocks(outer.size, rows):
         SO, lwO = model._half_table(J_OO, sys.c_f[outer], sys.beta, SO8)
-        T = np.empty((SO8.shape[0], cols))         # split-kernel log weights
+        T = np.empty((SO8.shape[0], cols))         # block-table log weights
         lw = np.empty_like(T)                      # brute-force log weights
         for start, SD8 in iter_spin_blocks(inner.size, min(cols, chunk)):
             SD, lwD = model._half_table(J_DD, sys.c_f[inner], sys.beta, SD8)

@@ -26,7 +26,7 @@ Site = Union[int, tuple]
 #: bases are summed directly.
 EM_CROSSOVER = 64
 
-#: Bytes of one streamed tile of the split enumeration (see _split_sums).
+#: Bytes of one streamed fold tile of the split enumeration (see _split_sums).
 TILE_BYTES = 16 << 20
 
 #: Largest volume for which a dense coupling matrix is materialized.
@@ -865,7 +865,7 @@ def as_configuration(vol: Volume, values) -> np.ndarray:
     cfg = np.asarray(values, dtype=np.int8)
     if cfg.shape != (vol.n_sites,):
         raise ValueError(f"configuration needs {vol.n_sites} spins")
-    if not np.all(np.abs(cfg) == 1):
+    if not (np.abs(cfg) == 1).all():
         raise ValueError("spins must be +-1")
     return cfg
 
@@ -897,11 +897,11 @@ class SplitSums:
     log_z: float
     mean: np.ndarray            # <s_i>
     second: np.ndarray = None   # <s_i s_j>, when requested
-    folded: np.ndarray = None   # sum of fold(S, w) / Z, when a fold is given
+    folded: np.ndarray = None   # sum of fold(S, p) over the tiles, when a fold is given
 
 
 def _half_table(J: np.ndarray, c: np.ndarray, beta: float, S: np.ndarray) -> tuple:
-    """Spin rows of one half as floats, with their within-half log weights."""
+    """Spin rows as floats, with their log weights beta * (s.J.s / 2 + c.s)."""
     Sf = S.astype(np.float64)
     return Sf, beta * (0.5 * np.einsum("ki,ki->k", Sf @ J, Sf) + Sf @ c)
 
@@ -911,75 +911,83 @@ def _split_sums(J: np.ndarray, c: np.ndarray, beta: float, second: bool = False,
     """Sums over all 2**n spin vectors of w(s) = exp(beta * (s.J.s / 2 + c.s)),
     J symmetric.
 
-    Horowitz-Sahni split: the first ceil(n/2) sites form half A and the rest
-    half B, so log w(a, b) = log w_A(a) + log w_B(b) + beta * b.J_BA.a.  A is
-    enumerated once into a table; B streams in chunks whose log weights
-    against every A row form one GEMM tile (about TILE_BYTES), folded into
-    sums kept relative to the running maximum.  Memory is O(2**(n/2)) plus
-    one tile, whatever 2**n is.
+    Three-block split (R. Williams, Theor. Comput. Sci. 348, 357 (2005)):
+    contiguous blocks Y (first (n + 1) // 3 sites), X and W (last n // 3),
+    so the end blocks Y and W are the most weakly coupled pair.  As the
+    couplings are pairwise, w(y, x, w) = A[y, x] B[x, w] C[y, w], with the
+    Y-X term and the Y and X weights in A, the X-W term and the W weight in
+    B, the Y-W term in C.  (A @ B) * C, (A.T @ C) * B and, with `second`,
+    (C @ B.T) * A weigh the (y, w), (x, w) and (y, x) pairs.  No exp is
+    taken per configuration; memory is a few 2**(2n/3)-entry matrices
+    (512 KiB each at n = 24) plus one fold tile.
 
-    `fold(S, w)`, when given, receives each tile's full configurations S
-    (k, n) in enumeration order (bit b of the index is site b, as in
-    iter_spin_blocks) and their weights w relative to the running maximum,
-    and returns an array; the sum of those arrays over all tiles, divided by
-    Z, is `folded`.
+    Rows are shifted by their maxima before exp, so each row of A @ B peaks
+    at 1 and of (A @ B) * C at >= exp(-2 beta ||J_YW||_1), summing absolute
+    entries: full precision while 2 beta ||J_YW||_1 < ~700.  Past that only
+    frustrated cases lose it, and a Z whose largest term may be subnormal
+    raises CapacityError.
+
+    `fold(S, p)`, when given, receives tiles of whole W rows, about
+    TILE_BYTES, of configurations S (k, n) in enumeration order (bit b of
+    the index is site b, as in iter_spin_blocks) with their probabilities p,
+    and returns an array; `folded` is the sum of those arrays.
     """
     n = c.size
-    nA = (n + 1) // 2
-    SA8 = np.concatenate([S for _, S in iter_spin_blocks(nA)])
-    SA, lwA = _half_table(J[:nA, :nA], c[:nA], beta, SA8)
-    J_BA = beta * J[nA:, :nA]
-    cols = SA.shape[0]
-    per_config = 8 if fold is None else 8 * (n + 1)
-    rows = min(max(1, TILE_BYTES // (per_config * cols)), 1 << (n - nA))
-    tile = np.empty((rows, cols))
+    Y, X, W = slice(0, (n + 1) // 3), slice((n + 1) // 3, n - n // 3), slice(n - n // 3, n)
+    # X is the largest block; 2**k rows and k columns of its table enumerate
+    # k sites.  S8 stacks the three tables, each row zero off its block.
+    SX8 = np.concatenate([S for _, S in iter_spin_blocks(X.stop - X.start)])
+    kY, kX, kW = (1 << (b.stop - b.start) for b in (Y, X, W))
+    rY, rX, rW = slice(0, kY), slice(kY, kY + kX), slice(kY + kX, kY + kX + kW)
+    S8 = np.zeros((rW.stop, n), dtype=np.int8)
+    for r, b in ((rY, Y), (rX, X), (rW, W)):
+        S8[r, b] = SX8[:r.stop - r.start, :b.stop - b.start]
+    S, lw = _half_table(J, c, beta, S8)
+    SJ = S @ (beta * J)
 
-    top = -np.inf                       # running maximum of the log weights
-    z = 0.0
-    col_w = np.zeros(cols)              # weight of each A row, summed over B
-    sum_B = np.zeros(n - nA)
-    Q_BB = np.zeros((n - nA, n - nA)) if second else None
-    Q_BA = np.zeros((n - nA, nA)) if second else None
-    folded = 0.0
-    for _, SB8 in iter_spin_blocks(n - nA, rows):
-        SB, lwB = _half_table(J[nA:, nA:], c[nA:], beta, SB8)
-        T = np.matmul(SB @ J_BA, SA.T, out=tile[:SB.shape[0]])
-        T += lwA
-        T += lwB[:, None]
-        tile_top = float(T.max())
-        if tile_top > top:
-            scale = math.exp(top - tile_top)
-            z, col_w, sum_B, folded = z * scale, col_w * scale, sum_B * scale, folded * scale
-            if second:
-                Q_BB *= scale
-                Q_BA *= scale
-            top = tile_top
-        np.subtract(T, top, out=T)
-        np.exp(T, out=T)
-        row_w = T.sum(axis=1)
-        z += float(row_w.sum())
-        col_w += T.sum(axis=0)
-        sum_B += row_w @ SB
-        if second:
-            Q_BB += (SB.T * row_w) @ SB
-            Q_BA += SB.T @ (T @ SA)
-        if fold is not None:
-            S = np.empty((SB8.shape[0], cols, n), dtype=np.int8)
-            S[:, :, :nA] = SA8
-            S[:, :, nA:] = SB8[:, None, :]
-            folded = folded + fold(S.reshape(T.size, n), T.ravel())
+    def shifted_exp(logM):
+        top = logM.max(axis=1)
+        return np.exp(logM - top[:, None]), top
 
-    mean = np.concatenate([col_w @ SA, sum_B]) / z
+    B, b_shift = shifted_exp(SJ[rX] @ S[rW].T + lw[rW])
+    A, a_shift = shifted_exp(SJ[rY] @ S[rX].T + (lw[rX] + b_shift) + lw[rY, None])
+    C, c_shift = shifted_exp(SJ[rY] @ S[rW].T)
+    P_YW = (A @ B) * C
+    top = float((a_shift + c_shift).max())
+    f = np.exp(a_shift + c_shift - top)
+    z = float(f @ P_YW.sum(axis=1))
+    if z < 2.0 ** (n - 970):        # the largest of the 2**n terms may be subnormal
+        raise CapacityError("Boltzmann sums beyond the three-block kernel's scaling range")
+    f /= z                          # the probability of (y, x, w) is f_y A B C
+    A *= f[:, None]
+    P_YW *= f[:, None]
+    P_XW = (A.T @ C) * B
+    p_rows = np.concatenate([P_YW.sum(axis=1), P_XW.sum(axis=1), P_YW.sum(axis=0)])
+    mean = p_rows @ S               # p_rows: the marginal of each table row
+
     pairs = None
     if second:
-        pairs = np.empty((n, n))
-        pairs[:nA, :nA] = (SA.T * col_w) @ SA
-        pairs[nA:, nA:] = Q_BB
-        pairs[nA:, :nA] = Q_BA
-        pairs[:nA, nA:] = Q_BA.T
-        pairs /= z
+        pairs = (S.T * p_rows) @ S
+        cross = S[rY].T @ ((C @ B.T) * A) @ S[rX] + S[rY].T @ P_YW @ S[rW] \
+            + S[rX].T @ P_XW @ S[rW]
+        pairs += cross + cross.T
+
+    folded = 0.0
+    if fold is not None:
+        # tiles of whole W rows, each with every (x, y): enumeration order
+        rows = max(1, TILE_BYTES // (8 * (n + 1) * A.size))
+        At, Ct = np.ascontiguousarray(A.T), np.ascontiguousarray(C.T)
+        for start in range(0, C.shape[1], rows):
+            w = slice(start, start + rows)
+            p = Ct[w, None, :] * At
+            p *= B.T[w, :, None]
+            XW = S8[rX, Y.stop:] + S8[rW, Y.stop:][w, None]
+            T = np.empty(p.shape + (n,), dtype=np.int8)
+            T[..., Y] = S8[rY, Y]
+            T[..., Y.stop:] = XW[:, :, None]
+            folded = folded + fold(T.reshape(p.size, n), p.ravel())
     return SplitSums(top + math.log(z), mean, pairs,
-                     None if fold is None else np.asarray(folded) / z)
+                     None if fold is None else np.asarray(folded))
 
 
 @lru_cache(maxsize=256)

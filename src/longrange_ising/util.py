@@ -1,5 +1,5 @@
-"""Shared numeric helpers: log-domain sums, spin enumeration blocks, fits,
-and a byte-bounded LRU cache for array-valued functions."""
+"""Shared numeric helpers: spin enumeration blocks, fits, and a
+byte-bounded LRU cache for array-valued functions."""
 
 from __future__ import annotations
 
@@ -70,15 +70,6 @@ def byte_lru_cache(max_bytes: int):
         return cached
 
     return decorate
-
-
-def logsumexp(a: np.ndarray) -> float:
-    """Numerically stable log(sum(exp(a)))."""
-    a = np.asarray(a, dtype=np.float64)
-    m = np.max(a)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.sum(np.exp(a - m))))
 
 
 def iter_spin_blocks(n_sites: int, block: int = ENUMERATION_BLOCK) -> Iterator[tuple[int, np.ndarray]]:

@@ -12,7 +12,7 @@ from longrange_ising import contours as ct
 from longrange_ising import exact as ex
 from longrange_ising import model as m
 from longrange_ising import probes
-from longrange_ising.util import CapacityError, iter_spin_blocks, logsumexp
+from longrange_ising.util import CapacityError, iter_spin_blocks
 
 
 def brute_log_partition(vol, params, bc, site_order=None):
@@ -83,21 +83,40 @@ def test_partition_capacity():
 # split enumeration kernel
 
 
+def logsumexp(a: np.ndarray) -> float:
+    """Numerically stable log(sum(exp(a)))."""
+    a = np.asarray(a, dtype=np.float64)
+    top = np.max(a)
+    if not np.isfinite(top):
+        return float(top)
+    return float(top + np.log(np.sum(np.exp(a - top))))
+
+
+# (n_free, L, n_frozen), L a 1d half-width or (2, half-width) for a square;
+# the kernel's blocks are (n + 1) // 3, n - (n + 1) // 3 - n // 3 and n // 3
+# sites, so n = 0, 1, 2 leave blocks empty, n = 17 has unequal blocks 6, 6, 5,
+# and the squares split into bands of rows
 KERNEL_CASES = [(0, 1, 3), (1, 0, 0), (2, 1, 1), (7, 3, 0), (7, 4, 2), (8, 4, 1),
-                (13, 6, 0), (13, 7, 2), (16, 8, 1)]     # (n_free, L, n_frozen)
+                (13, 6, 0), (13, 7, 2), (16, 8, 1), (17, 8, 0), (18, 9, 1),
+                pytest.param(9, (2, 1), 0, id="9-2d1-0"),
+                pytest.param(14, (2, 2), 11, id="14-2d2-11")]
 
 
-@pytest.mark.parametrize("beta", [0.0, 1.1, 40.0])
+@pytest.mark.parametrize("beta", [0.0, 1.1, 40.0, 200.0])
 @pytest.mark.parametrize("n_free,L,n_frozen", KERNEL_CASES)
 def test_split_kernel_matches_brute_force(monkeypatch, n_free, L, n_frozen, beta):
-    # a 4 KiB tile budget streams up to 128 tiles, so the running-max rescale
-    # runs; at beta = 40 whole tiles underflow against the maximum
+    # a 4 KiB tile budget streams the fold in many tiles; at beta = 200 most
+    # block-pair weights underflow against their row maxima
     monkeypatch.setattr(m, "TILE_BYTES", 4096)
-    vol = m.Volume(1, L)
+    vol = m.Volume(*L) if isinstance(L, tuple) else m.Volume(1, L)
     spread = vol.sites()[::2] + vol.sites()[1::2]
     frozen = {s: (-1) ** i for i, s in enumerate(spread[:n_frozen])}
-    params = m.ModelParams(beta, m.PowerLaw(1.0, 1.5), field=0.3)
-    sys_ = ex._reduce(vol, params, m.alternating_bc(), frozen)
+    if vol.dimension == 1:
+        params = m.ModelParams(beta, m.PowerLaw(1.0, 1.5), field=0.3)
+        sys_ = ex._reduce(vol, params, m.alternating_bc(), frozen)
+    else:
+        params = m.ModelParams(beta, m.PowerLaw(1.0, 3.5), field=0.3)
+        sys_ = ex._reduce(vol, params, m.dobrushin2d_bc(), frozen)
     assert sys_.n_free == n_free
     S = np.concatenate([b for _, b in iter_spin_blocks(n_free)]).astype(np.float64)
     lw = sys_.log_weights(S)
@@ -108,6 +127,17 @@ def test_split_kernel_matches_brute_force(monkeypatch, n_free, L, n_frozen, beta
     np.testing.assert_allclose(got.mean, S.T @ p, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got.second, (S.T * p) @ S, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got.folded, S.T @ p, rtol=0, atol=1e-12)
+
+
+def test_split_kernel_refuses_sums_beyond_its_scaling():
+    # Dobrushin ends pull Y and W apart against their coupling: at beta 3000,
+    # 2 beta ||J_YW||_1 is about 1.3e4 and the favoured (y, w) pair sits that
+    # far below its C row's maximum, so the shifted Z underflows
+    vol = m.Volume(1, 8)
+    sys_ = ex._reduce(vol, m.ModelParams(3000.0, m.PowerLaw(1.0, 1.1), field=0.3),
+                      m.dobrushin1d_bc(), {})
+    with pytest.raises(CapacityError):
+        sys_.sums()
 
 
 @pytest.mark.parametrize("n_free", [22, 24])

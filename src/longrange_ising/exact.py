@@ -7,9 +7,14 @@ the finite-volume kernels, and correlation-inequality oracles.
 Enumeration splits the free sites into three blocks (model._split_sums):
 the weights factor into three block-pair matrices, so log Z and the site
 and pair moments come from matrix products, and other observables fold over
-configuration tiles weighted by products of the same matrices.  Peak memory
-does not grow with 2**n; the cap stays at 24 free sites, which puts the
-interface law in reach up to L = 11.  The DLR check streams blocks of outer
+tiles of configuration probabilities, products of the same matrices, in
+enumeration order.  The interface law folds each tile with one bincount
+through a cached per-L table of interface grid indices
+(_interface_index_table), since the interface point of a configuration does
+not depend on the couplings or beta; other observables rebuild their rows
+from the tile's first index (util.spin_rows).  Peak memory does not grow
+with 2**n; the cap stays at 24 free sites, which puts the interface law in
+reach up to L = 11.  The DLR check streams blocks of outer
 configurations against every subvolume configuration and compares them with
 the brute-force quadratic form (_ReducedSystem.log_weights) block by block,
 so it keeps no array over all 2**n configurations either.
@@ -23,7 +28,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import contours, model
-from .util import CapacityError, ENUMERATION_SITE_CAP, iter_spin_blocks
+from .util import (CapacityError, ENUMERATION_SITE_CAP, byte_lru_cache, iter_spin_blocks,
+                   spin_rows)
+
+#: Byte budget of the cached interface index tables (one int8 entry per
+#: configuration: 8 MiB at L = 11).
+INTERFACE_TABLE_BYTES = 16 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +136,14 @@ def _reduce(vol: model.Volume, params: model.ModelParams, bc: model.BoundaryCond
         raise CapacityError(f"{n_free} free sites exceed the enumeration cap")
     fields = model.boundary_field_vector(vol, params.coupling, bc) \
         + model.external_field_vector(vol, params)
-    rows = np.stack([model.coupling_row(vol, params.coupling, s) for s in free_sites]) \
-        if n_free else np.zeros((0, vol.n_sites))
+    rows = model.coupling_rows(vol, params.coupling, free_sites)
     free_idx = np.array([vol.index(s) for s in free_sites], dtype=np.int64)
-    J_ff = rows[:, free_idx] if n_free else np.zeros((0, 0))
-    c_f = fields[free_idx].copy() if n_free else np.zeros(0)
-    if frozen:
+    J_ff = rows[:, free_idx]
+    c_f = fields[free_idx]
+    if frozen and n_free:
         frozen_idx = np.array([vol.index(s) for s in frozen], dtype=np.int64)
         frozen_vals = np.array([frozen[s] for s in frozen], dtype=np.float64)
-        if n_free:
-            c_f += rows[:, frozen_idx] @ frozen_vals
+        c_f += rows[:, frozen_idx] @ frozen_vals
     return _ReducedSystem(vol, free_sites, J_ff, c_f, params.beta)
 
 
@@ -155,10 +163,10 @@ def conditional_expectation(vol: model.Volume, params: model.ModelParams,
         template[vol.index(site)] = v
 
     if obs.weights is None and obs.pair is None:
-        def fold(S, w):
-            full = np.repeat(template[None, :], S.shape[0], axis=0)
-            full[:, free_idx] = S
-            return obs.evaluate_block(full) @ w
+        def fold(start, p):
+            full = np.repeat(template[None, :], p.size, axis=0)
+            full[:, free_idx] = spin_rows(free_idx.size, start, start + p.size)
+            return obs.evaluate_block(full) @ p
         return float(sys.sums(fold=fold).folded)
 
     sums = sys.sums(second=obs.pair is not None)
@@ -204,24 +212,45 @@ def theta_grid(L: int) -> list:
 
 def interface_distribution(vol: model.Volume, params: model.ModelParams,
                            bc: model.BoundaryCondition = None) -> InterfaceLaw:
-    """Exact law of the interface point under minus/plus split boundaries."""
+    """Exact law of the interface point under minus/plus split boundaries.
+
+    Each probability tile of the enumeration is one bincount over the
+    matching slice of the cached index table of L (_interface_index_table).
+    """
     bc = bc or model.dobrushin1d_bc()
     if vol.dimension != 1 or vol.half_width < 1:
         raise ValueError("interface law needs a 1d volume with L >= 1")
+    if contours._edge_spins(vol, bc) != (-1, 1):
+        raise ValueError("interface point needs minus-left/plus-right boundaries")
     n = vol.n_sites
     if n > ENUMERATION_SITE_CAP:
         raise CapacityError(f"{n} sites exceed the enumeration cap")
     L = vol.half_width
     grid = theta_grid(L)
-    sys = _reduce(vol, params, bc, {})
+    table = _interface_index_table(L)
 
-    def fold(S, w):
-        # point k - L - 1/2 is grid entry k
-        k = (contours.interface_points(vol, S, bc) + (L + 0.5)).astype(np.int64)
-        return np.bincount(k, weights=w, minlength=len(grid))
+    def fold(start, p):
+        return np.bincount(table[start:start + p.size], weights=p, minlength=n + 1)
 
-    masses = sys.sums(fold=fold).folded
+    masses = _reduce(vol, params, bc, {}).sums(fold=fold).folded
     return InterfaceLaw(tuple(grid), tuple(float(v) for v in masses))
+
+
+@byte_lru_cache(INTERFACE_TABLE_BYTES)
+def _interface_index_table(L: int) -> np.ndarray:
+    """Read-only int8 grid index (into theta_grid(L)) of the interface point
+    of every configuration of sites -L..L, in enumeration order (bit b is
+    the spin at site b - L, as in iter_spin_blocks).  Built once per L from
+    contours.interface_points in row blocks of about model.TILE_BYTES."""
+    vol = model.Volume(1, L)
+    n = vol.n_sites
+    table = np.empty(1 << n, dtype=np.int8)
+    # interface_points holds about a dozen int16 and bool rows of n + 1
+    for start, S in iter_spin_blocks(n, max(1, model.TILE_BYTES // (24 * (n + 1)))):
+        # point j - L - 1/2 is grid entry j
+        table[start:start + S.shape[0]] = contours.interface_points(vol, S) + (L + 0.5)
+    table.setflags(write=False)
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -213,51 +213,59 @@ def coupling_value(spec: CouplingSpec, x: Site, y: Site) -> float:
     raise TypeError(f"unknown coupling spec {spec!r}")
 
 
-def coupling_row(vol: Volume, spec: CouplingSpec, site: Site) -> np.ndarray:
-    """Vector of J(site, y) over all volume sites (zero at the site itself)."""
+def coupling_rows(vol: Volume, spec: CouplingSpec, sites) -> np.ndarray:
+    """Rows J(x, y) over all volume sites y for each site x of `sites`, which
+    may lie outside the volume (zero where y = x); one broadcast."""
     validate_coupling(spec, vol.dimension)
     L = vol.half_width
+    xs = np.asarray(sites, dtype=np.int64).reshape(-1, vol.dimension)
+    g = np.arange(-L, L + 1)
     if vol.dimension == 1:
-        ys = np.arange(-L, L + 1, dtype=np.float64)
-        d = np.abs(ys - site)
+        d = np.abs(g.astype(np.float64) - xs)
     else:
-        x1g, x2g = np.meshgrid(np.arange(-L, L + 1), np.arange(-L, L + 1), indexing="ij")
-        dx1 = (x1g - site[0]).ravel().astype(np.float64)
-        dx2 = (x2g - site[1]).ravel().astype(np.float64)
+        dx1 = (np.repeat(g, g.size) - xs[:, :1]).astype(np.float64)
+        dx2 = (np.tile(g, g.size) - xs[:, 1:]).astype(np.float64)
         d = np.hypot(dx1, dx2)
-    row = np.zeros(vol.n_sites, dtype=np.float64)
+    rows = np.zeros(d.shape, dtype=np.float64)
     nz = d > 0
     if isinstance(spec, NearestNeighbor):
-        row[d == 1] = spec.strength
+        rows[d == 1] = spec.strength
     elif isinstance(spec, PowerLaw):
-        row[nz] = spec.strength * _power(d[nz], spec.alpha)
+        rows[nz] = spec.strength * _power(d[nz], spec.alpha)
     elif isinstance(spec, IsotropicMixed):
-        row[nz] = _power(d[nz], spec.alpha)
-        row[d == 1] += spec.nn_strength
+        rows[nz] = _power(d[nz], spec.alpha)
+        rows[d == 1] += spec.nn_strength
     elif isinstance(spec, AnisotropicAxes):
         same_col = dx1 == 0
         same_row = dx2 == 0
         dv = np.abs(dx2)
         if spec.vertical == "nn":
-            row[same_col & (dv == 1)] = 1.0
+            rows[same_col & (dv == 1)] = 1.0
         else:
             m = same_col & (dv > 0)
-            row[m] = _power(dv[m], float(spec.vertical))
+            rows[m] = _power(dv[m], float(spec.vertical))
         m = same_row & (np.abs(dx1) > 0)
-        row[m] = _power(np.abs(dx1[m]), spec.horizontal_alpha)
-    return row
+        rows[m] = _power(np.abs(dx1[m]), spec.horizontal_alpha)
+    return rows
+
+
+def coupling_row(vol: Volume, spec: CouplingSpec, site: Site) -> np.ndarray:
+    """Vector of J(site, y) over all volume sites (zero at the site itself)."""
+    return coupling_rows(vol, spec, [site])[0]
 
 
 @byte_lru_cache(MATRIX_CACHE_BYTES)
 def coupling_matrix(vol: Volume, spec: CouplingSpec) -> np.ndarray:
-    """Dense symmetric coupling matrix with zero diagonal (cached)."""
-    if vol.n_sites > MATRIX_SITE_CAP:
-        raise CapacityError(
-            f"{vol.n_sites} sites exceed the {MATRIX_SITE_CAP}-site coupling-matrix cap"
-        )
-    J = np.empty((vol.n_sites, vol.n_sites), dtype=np.float64)
-    for i, x in enumerate(vol.sites()):
-        J[i] = coupling_row(vol, spec, x)
+    """Dense symmetric coupling matrix with zero diagonal (cached), built in
+    row blocks of about NEAR_BLOCK_BYTES."""
+    n = vol.n_sites
+    if n > MATRIX_SITE_CAP:
+        raise CapacityError(f"{n} sites exceed the {MATRIX_SITE_CAP}-site coupling-matrix cap")
+    sites = vol.sites()
+    step = max(1, NEAR_BLOCK_BYTES // (8 * n))
+    J = np.empty((n, n), dtype=np.float64)
+    for i in range(0, n, step):
+        J[i:i + step] = coupling_rows(vol, spec, sites[i:i + step])
     J.setflags(write=False)
     return J
 
@@ -927,10 +935,13 @@ def _split_sums(J: np.ndarray, c: np.ndarray, beta: float, second: bool = False,
     frustrated cases lose it, and a Z whose largest term may be subnormal
     raises CapacityError.
 
-    `fold(S, p)`, when given, receives tiles of whole W rows, about
-    TILE_BYTES, of configurations S (k, n) in enumeration order (bit b of
-    the index is site b, as in iter_spin_blocks) with their probabilities p,
-    and returns an array; `folded` is the sum of those arrays.
+    `fold(start, p)`, when given, receives tiles of whole W rows, about
+    TILE_BYTES: the enumeration index `start` of the tile's first
+    configuration (bit b of the index is site b, as in iter_spin_blocks) and
+    the probabilities p of configurations start, start + 1, ..., start +
+    p.size - 1.  It returns an array; `folded` is the sum of those arrays.
+    No configuration tile is built: a fold that needs the spins reads them
+    from its own table or from util.spin_rows.
     """
     n = c.size
     Y, X, W = slice(0, (n + 1) // 3), slice((n + 1) // 3, n - n // 3), slice(n - n // 3, n)
@@ -974,18 +985,16 @@ def _split_sums(J: np.ndarray, c: np.ndarray, beta: float, second: bool = False,
 
     folded = 0.0
     if fold is not None:
-        # tiles of whole W rows, each with every (x, y): enumeration order
+        # tiles of whole W rows, each with every (x, y): enumeration order;
+        # 8n bytes per configuration beyond its probability leave room for
+        # a fold that builds the tile's spin rows, even as floats
         rows = max(1, TILE_BYTES // (8 * (n + 1) * A.size))
         At, Ct = np.ascontiguousarray(A.T), np.ascontiguousarray(C.T)
         for start in range(0, C.shape[1], rows):
             w = slice(start, start + rows)
             p = Ct[w, None, :] * At
             p *= B.T[w, :, None]
-            XW = S8[rX, Y.stop:] + S8[rW, Y.stop:][w, None]
-            T = np.empty(p.shape + (n,), dtype=np.int8)
-            T[..., Y] = S8[rY, Y]
-            T[..., Y.stop:] = XW[:, :, None]
-            folded = folded + fold(T.reshape(p.size, n), p.ravel())
+            folded = folded + fold(start * A.size, p.ravel())
     return SplitSums(top + math.log(z), mean, pairs,
                      None if fold is None else np.asarray(folded))
 

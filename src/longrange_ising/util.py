@@ -72,22 +72,25 @@ def byte_lru_cache(max_bytes: int):
     return decorate
 
 
-def iter_spin_blocks(n_sites: int, block: int = ENUMERATION_BLOCK) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start_index, S) blocks covering all 2**n_sites configurations.
+def spin_rows(n_sites: int, start: int, stop: int) -> np.ndarray:
+    """Configurations start..stop - 1 as rows (stop - start, n_sites) of
+    {-1, +1} spins; bit b of the configuration index addresses site b, bit 0
+    meaning spin +1."""
+    idx = np.arange(start, stop, dtype=np.uint32)
+    bits = np.arange(n_sites, dtype=np.uint32)
+    return 1 - 2 * ((idx[:, None] >> bits[None, :]) & 1).astype(np.int8)
 
-    S has shape (m, n_sites) with entries in {-1, +1}; bit b of the
-    configuration index addresses site b, bit 0 meaning spin +1.
-    """
+
+def iter_spin_blocks(n_sites: int, block: int = ENUMERATION_BLOCK) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start_index, S) blocks covering all 2**n_sites configurations,
+    S = spin_rows(n_sites, start_index, start_index + m)."""
     if n_sites > ENUMERATION_SITE_CAP:
         raise CapacityError(
             f"{n_sites} sites exceed the {ENUMERATION_SITE_CAP}-site enumeration cap"
         )
     total = 1 << n_sites
-    bits = np.arange(n_sites, dtype=np.uint32)
     for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.uint32)
-        S = 1 - 2 * ((idx[:, None] >> bits[None, :]) & 1).astype(np.int8)
-        yield start, S
+        yield start, spin_rows(n_sites, start, min(start + block, total))
 
 
 def loglog_slope(xs, ys) -> float:

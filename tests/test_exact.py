@@ -122,7 +122,7 @@ def test_split_kernel_matches_brute_force(monkeypatch, n_free, L, n_frozen, beta
     lw = sys_.log_weights(S)
     log_z = logsumexp(lw)
     p = np.exp(lw - log_z)
-    got = sys_.sums(second=True, fold=lambda rows, w: rows.astype(np.float64).T @ w)
+    got = sys_.sums(second=True, fold=lambda start, w: S[start:start + w.size].T @ w)
     assert got.log_z == pytest.approx(log_z, rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(got.mean, S.T @ p, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got.second, (S.T * p) @ S, rtol=0, atol=1e-12)
@@ -239,6 +239,16 @@ def test_conditional_site_means_match_observables():
         assert means[s] == pytest.approx(direct, abs=1e-12)
 
 
+def test_conditional_site_means_leave_the_matrix_cache_alone():
+    # the reduced system builds its free rows itself: a fresh alpha must not
+    # park a coupling matrix in the cache
+    vol = m.Volume(1, 4)
+    info = m.coupling_matrix.cache_info()
+    ex.conditional_site_means(vol, m.ModelParams(1.1, m.PowerLaw(1.0, 1.4321)),
+                              m.dobrushin1d_bc(), {3: -1})
+    assert m.coupling_matrix.cache_info() == info
+
+
 def test_conditional_equivalent_to_frozen_boundary():
     # conditioning on spins equals treating them as exterior pattern
     inner = m.Volume(1, 1)
@@ -280,6 +290,40 @@ def test_interface_points_match_scalar_oracle(L):
     S = np.concatenate([b for _, b in iter_spin_blocks(vol.n_sites)])
     expected = [ct.interface_point(vol, row) for row in S]
     assert ct.interface_points(vol, S).tolist() == expected
+
+
+@pytest.mark.parametrize("L", range(1, 8))
+def test_interface_index_table_matches_interface_points(L):
+    vol = m.Volume(1, L)
+    table = ex._interface_index_table(L)
+    assert table.dtype == np.int8 and not table.flags.writeable
+    S = np.concatenate([b for _, b in iter_spin_blocks(vol.n_sites)])
+    assert table.tolist() == (ct.interface_points(vol, S) + L + 0.5).tolist()
+    if L <= 4:
+        grid = ex.theta_grid(L)
+        assert [grid[k] for k in table] == [ct.interface_point(vol, row) / L for row in S]
+
+
+def test_interface_law_over_many_tiles_matches_brute_force(monkeypatch):
+    # a 4 KiB tile budget streams the n = 9 law in eight tiles, one W row each
+    monkeypatch.setattr(m, "TILE_BYTES", 4096)
+    vol = m.Volume(1, 4)
+    params = m.ModelParams(1.3, m.PowerLaw(1.0, 1.6), field=0.2)
+    law = ex.interface_distribution(vol, params)
+    S = np.concatenate([b for _, b in iter_spin_blocks(vol.n_sites)])
+    lw = ex._reduce(vol, params, m.dobrushin1d_bc()).log_weights(S)
+    p = np.exp(lw - logsumexp(lw))
+    brute = {t: 0.0 for t in law.grid}
+    for row, w in zip(S, p):
+        brute[ct.interface_point(vol, row) / vol.half_width] += w
+    np.testing.assert_allclose(law.masses, [brute[t] for t in law.grid], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("bc", [m.plus_bc(), m.minus_bc(), m.dobrushin1d_bc().flipped(),
+                                m.alternating_bc()])
+def test_interface_law_rejects_other_boundaries(bc):
+    with pytest.raises(ValueError):
+        ex.interface_distribution(m.Volume(1, 3), m.ModelParams(1.0, m.PowerLaw(1.0, 1.5)), bc)
 
 
 def test_interface_beta_zero_counting():

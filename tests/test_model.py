@@ -78,6 +78,31 @@ def test_coupling_value_matches_matrix_bitwise(vol, spec):
     assert values.tobytes() == m.coupling_matrix(vol, spec).tobytes()
 
 
+@pytest.mark.parametrize("vol, spec", [
+    (m.Volume(1, 6), m.NearestNeighbor(0.7)),
+    (m.Volume(1, 6), m.PowerLaw(0.7, 1.6)),
+    (m.Volume(1, 6), m.IsotropicMixed(4.0, 1.6)),
+    (m.Volume(2, 3), m.NearestNeighbor(1.0)),
+    (m.Volume(2, 3), m.PowerLaw(1.0, 2.5)),
+    (m.Volume(2, 3), m.IsotropicMixed(4.0, 2.5)),
+    (m.Volume(2, 3), m.AnisotropicAxes(1.5, "nn")),
+    (m.Volume(2, 3), m.AnisotropicAxes(1.5, 2.2)),
+])
+def test_coupling_rows_match_matrix_bitwise(vol, spec):
+    J = m.coupling_matrix(vol, spec)
+    for i, x in enumerate(vol.sites()):
+        assert m.coupling_row(vol, spec, x).tobytes() == J[i].tobytes()
+    # a row for a site outside the volume is the matching row of a larger
+    # volume's matrix, restricted to the volume's columns
+    big = m.Volume(vol.dimension, vol.half_width + 2)
+    x = vol.half_width + 2 if vol.dimension == 1 else (vol.half_width + 2, -1)
+    cols = [big.index(y) for y in vol.sites()]
+    assert m.coupling_row(vol, spec, x).tobytes() == \
+        m.coupling_matrix(big, spec)[big.index(x), cols].tobytes()
+    assert m.coupling_rows(vol, spec, [x, vol.sites()[0]]).tobytes() == \
+        np.stack([m.coupling_row(vol, spec, x), J[0]]).tobytes()
+
+
 def test_antiferromagnetic_rejected():
     with pytest.raises(ValueError):
         m.PowerLaw(-1.0, 1.5)

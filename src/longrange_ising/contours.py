@@ -65,6 +65,20 @@ def triangle_distance(a: Triangle, b: Triangle) -> float:
     return b.left - a.right
 
 
+def _too_close(a: Triangle, b: Triangle) -> bool:
+    return triangle_distance(a, b) <= min(a.length, b.length)
+
+
+def _first_close_pair(items: list, close):
+    """First (i, j), i < j in row-major scan order, with close(items[i],
+    items[j]); None when no pair is close."""
+    for i, a in enumerate(items):
+        for j in range(i + 1, len(items)):
+            if close(a, items[j]):
+                return i, j
+    return None
+
+
 @dataclass(frozen=True)
 class TriangleFamily:
     """Triangles ordered by non-increasing length (ties leftmost first)."""
@@ -97,13 +111,11 @@ def validate_family(family: TriangleFamily) -> None:
     for a, b in zip(pos, pos[1:]):
         if b.left < a.right:
             raise ValueError("triangle spans overlap")
-    for i, a in enumerate(pos):
-        for b in pos[i + 1:]:
-            if a.sign == b.sign and triangle_distance(a, b) <= min(a.length, b.length):
-                raise ValueError(
-                    f"separation violated: dist {triangle_distance(a, b)} <= "
-                    f"min({a.length}, {b.length})"
-                )
+    hit = _first_close_pair(pos, lambda a, b: a.sign == b.sign and _too_close(a, b))
+    if hit is not None:
+        a, b = pos[hit[0]], pos[hit[1]]
+        raise ValueError(f"separation violated: dist {triangle_distance(a, b)} <= "
+                         f"min({a.length}, {b.length})")
 
 
 @dataclass(frozen=True)
@@ -117,6 +129,11 @@ class Contour:
 
 def contour_distance(a: Contour, b: Contour) -> float:
     return min(triangle_distance(ta, tb) for ta in a.triangles for tb in b.triangles)
+
+
+def _contours_close(C: float, delta: float):
+    """Whether two contours violate dist > C * min(length)^delta."""
+    return lambda a, b: contour_distance(a, b) <= C * min(a.length, b.length) ** delta
 
 
 @dataclass(frozen=True)
@@ -155,17 +172,7 @@ def spin_flip_points(vol: model.Volume, config, bc: model.BoundaryCondition) -> 
 def _merge_until_separated(triangles: list, sign: int) -> list:
     """Merge same-sign triangles violating dist > min(len); gaps become holes."""
     ts = sorted(triangles, key=lambda t: t.left)
-    while True:
-        hit = None
-        for i in range(len(ts)):
-            for j in range(i + 1, len(ts)):
-                if triangle_distance(ts[i], ts[j]) <= min(ts[i].length, ts[j].length):
-                    hit = (i, j)
-                    break
-            if hit:
-                break
-        if hit is None:
-            return ts
+    while (hit := _first_close_pair(ts, _too_close)) is not None:
         i, j = hit
         absorbed = ts[i:j + 1]
         children = []
@@ -176,6 +183,7 @@ def _merge_until_separated(triangles: list, sign: int) -> list:
         merged = Triangle(absorbed[0].left, absorbed[-1].right, sign,
                           tuple(sorted(children, key=lambda t: t.left)))
         ts = ts[:i] + [merged] + ts[j + 1:]
+    return ts
 
 
 def _decompose_segment(spins: list, first: int, background: int) -> list:
@@ -308,18 +316,7 @@ def group_contours(family: TriangleFamily, C: float = 1.0, delta: float = 3.0) -
     point is independent of the merge order.
     """
     clusters = [Contour((t,)) for t in family.by_position()]
-    while True:
-        hit = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                a, b = clusters[i], clusters[j]
-                if contour_distance(a, b) <= C * min(a.length, b.length) ** delta:
-                    hit = (i, j)
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
+    while (hit := _first_close_pair(clusters, _contours_close(C, delta))) is not None:
         i, j = hit
         merged = Contour(tuple(sorted(clusters[i].triangles + clusters[j].triangles,
                                       key=lambda t: t.left)))
@@ -329,12 +326,7 @@ def group_contours(family: TriangleFamily, C: float = 1.0, delta: float = 3.0) -
 
 
 def contour_separation_ok(fam: ContourFamily, C: float = 1.0, delta: float = 3.0) -> bool:
-    cs = list(fam.contours)
-    for i, a in enumerate(cs):
-        for b in cs[i + 1:]:
-            if contour_distance(a, b) <= C * min(a.length, b.length) ** delta:
-                return False
-    return True
+    return _first_close_pair(list(fam.contours), _contours_close(C, delta)) is None
 
 
 # ---------------------------------------------------------------------------

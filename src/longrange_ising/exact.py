@@ -124,18 +124,12 @@ class _ReducedSystem:
 
 def _reduce(vol: model.Volume, params: model.ModelParams, bc: model.BoundaryCondition,
             frozen: Mapping = None) -> _ReducedSystem:
-    frozen = dict(frozen or {})
-    for site, v in frozen.items():
-        if not vol.contains(site):
-            raise ValueError(f"frozen site {site} outside the volume")
-        if v not in (-1, 1):
-            raise ValueError("frozen spins must be +-1")
+    frozen = model.check_frozen(vol, frozen)
     free_sites = [s for s in vol.sites() if s not in frozen]
     n_free = len(free_sites)
     if n_free > ENUMERATION_SITE_CAP:
         raise CapacityError(f"{n_free} free sites exceed the enumeration cap")
-    fields = model.boundary_field_vector(vol, params.coupling, bc) \
-        + model.external_field_vector(vol, params)
+    fields = model.site_fields(vol, params, bc)
     rows = model.coupling_rows(vol, params.coupling, free_sites)
     free_idx = np.array([vol.index(s) for s in free_sites], dtype=np.int64)
     J_ff = rows[:, free_idx]

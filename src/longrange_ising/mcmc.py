@@ -117,8 +117,7 @@ def sampler_new(vol: model.Volume, params: model.ModelParams,
     (the table's `model.MATRIX_SITE_CAP` bounds the volume)."""
     n = vol.n_sites
     J = model.coupling_matrix(vol, params.coupling)
-    static = model.boundary_field_vector(vol, params.coupling, bc) \
-        + model.external_field_vector(vol, params)
+    static = model.site_fields(vol, params, bc)
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     if initial == "plus":
@@ -130,7 +129,7 @@ def sampler_new(vol: model.Volume, params: model.ModelParams,
     else:
         raise ValueError("initial must be plus, minus, or random")
 
-    frozen = dict(frozen or {})
+    frozen = model.check_frozen(vol, frozen)
     for site, v in frozen.items():
         cfg[vol.index(site)] = v
     frozen_idx = {vol.index(s) for s in frozen}

@@ -3,7 +3,10 @@
 Volumes are centered boxes [-L, L] (1d) or ([-L, L] cap Z)^2 (2d).  Interior
 pair sums count each unordered pair once.  Boundary fields are exact: a
 directly enumerated near zone plus analytic tails (Euler-Maclaurin corrected
-Hurwitz-type sums), accurate to better than 1e-10 absolute.
+Hurwitz-type sums), accurate to better than 1e-10 absolute.  One ray routine
+(_ray_field) sums the rays of a 1d chain and of 2d axis couplings; 2d
+isotropic couplings sum whole exterior rows.  site_fields adds the external
+field to the boundary field: the static field every kernel and sampler reads.
 
 All public objects are immutable (frozen dataclasses over hashable fields),
 so derived arrays can be cached and shared freely across workers.
@@ -632,22 +635,15 @@ def pattern_bc(assignments: Mapping[Site, int], base: BoundaryCondition = None) 
 # boundary fields
 
 
-def _ray_tail_rule(bc: BoundaryCondition, probe: Site) -> RegionRule:
-    """Rule governing an entire unbounded ray tail; `probe` is any tail site."""
+def _tail_fill(bc: BoundaryCondition, probe: Site):
+    """Fill of an entire unbounded ray tail; `probe` is any tail site.  A 2d
+    probe (a tuple) admits constant fills only."""
     for rule in bc.rules:
-        if isinstance(rule, PatternRule):
-            continue
-        if rule.matches(probe):
-            return rule
+        if isinstance(rule, RegionRule) and rule.matches(probe):
+            if isinstance(probe, tuple) and not isinstance(rule.fill, ConstFill):
+                raise ValueError("alternating fills are 1d-only")
+            return rule.fill
     raise AssertionError("unreachable")
-
-
-def _ray_fill(bc: BoundaryCondition, probe: Site) -> int:
-    """Constant value of a 2d ray tail; alternating fills have no 2d tail."""
-    fill = _ray_tail_rule(bc, probe).fill
-    if not isinstance(fill, ConstFill):
-        raise ValueError("alternating fills are 1d-only")
-    return fill.value
 
 
 def _power_sum(xs: np.ndarray, ys: np.ndarray, spins: np.ndarray, alpha: float) -> np.ndarray:
@@ -663,55 +659,39 @@ def _power_sum(xs: np.ndarray, ys: np.ndarray, spins: np.ndarray, alpha: float) 
     return out
 
 
-def _line_field(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
-                em_crossover: int) -> np.ndarray:
-    """1d power-law part of h: on each side, the near zone out to the pinned
-    extent W (spins read once), then the analytic ray tail beyond W."""
+def _ray_field(vol: Volume, bc: BoundaryCondition, alpha: float, axis: int,
+               em_crossover: int) -> np.ndarray:
+    """Unit-amplitude ray part of h: Sum_y |y - x|^(-alpha) omega_y over the
+    exterior sites y on the line through x along `axis`, in the volume's
+    shape.  A 1d chain is one line; in 2d each row (axis 0) or column
+    (axis 1) is one.  On each side the near zone out to the pinned extent W
+    is read once and summed as one power-matrix product over all lines; each
+    line then adds its analytic tail beyond W: a Hurwitz tail for a constant
+    fill, the alternating (Boole) tail for a 1d alternating fill."""
     L = vol.half_width
-    amp = spec.strength if isinstance(spec, PowerLaw) else 1.0
     xs = np.arange(-L, L + 1)
     W = max(L, bc.finite_extent())
-    h = np.zeros(vol.n_sites)
+    if vol.dimension == 1:
+        lines, site = [0], (lambda c, t: t)
+    else:
+        lines = xs.tolist()
+        site = (lambda c, t: (c, t)) if axis else (lambda c, t: (t, c))
+    shape = (vol.side,) * vol.dimension           # h[along, line]
+    h = np.zeros(shape)
     for direction in (+1, -1):
         ys = direction * np.arange(L + 1, W + 1)
-        spins = np.array([bc.spin_at(int(y)) for y in ys], dtype=np.float64)
-        h += _power_sum(xs, ys, spins, spec.alpha)
+        spins = np.array([bc.spin_at(site(c, y)) for y in ys.tolist() for c in lines],
+                         dtype=np.float64).reshape(ys.shape + shape[1:])
+        h += _power_sum(xs, ys, spins, alpha)
+        fills = [_tail_fill(bc, site(c, direction * (W + 1))) for c in lines]
         starts = W - direction * xs
-        fill = _ray_tail_rule(bc, direction * (W + 1)).fill
-        if isinstance(fill, ConstFill):
-            if fill.value:
-                h += fill.value * hurwitz_tail(spec.alpha, 0.0, starts, em_crossover)
-        else:  # alternating: (-1)^y = (-1)^x (-1)^k at distance k
-            parity = 1 - 2 * (xs % 2)
-            h += fill.phase * parity * alternating_tail(spec.alpha, 0.0, starts, em_crossover)
-    return amp * h
-
-
-def _axes_field(vol: Volume, spec: AnisotropicAxes, bc: BoundaryCondition,
-                em_crossover: int) -> np.ndarray:
-    """Power-law ray parts of h[x1, x2] for axis couplings: horizontal rays
-    (same x2) and, for a power-law vertical, vertical rays (same x1)."""
-    L = vol.half_width
-    cs = np.arange(-L, L + 1)
-    ext = max(L, bc.finite_extent())
-    near = np.arange(L + 1, ext + 1)
-    h = np.zeros((vol.side, vol.side))
-    rays = [(spec.horizontal_alpha, False)]
-    if spec.vertical != "nn":
-        rays.append((float(spec.vertical), True))
-    for alpha, vertical in rays:
-        # site(line c, coordinate t along the ray); h is read as (along, line)
-        site = (lambda c, t: (int(c), int(t))) if vertical else (lambda c, t: (int(t), int(c)))
-        part = np.zeros((vol.side, vol.side))
-        for direction in (+1, -1):
-            ys = direction * near
-            spins = np.array([[bc.spin_at(site(c, y)) for c in cs] for y in ys],
-                             dtype=np.float64).reshape(ys.size, vol.side)
-            part += _power_sum(cs, ys, spins, alpha)
-            fills = np.array([_ray_fill(bc, site(c, direction * (ext + 1))) for c in cs])
-            part += np.outer(hurwitz_tail(alpha, 0.0, ext - direction * cs, em_crossover), fills)
-        h += part.T if vertical else part
-    return h
+        if isinstance(fills[0], AlternatingFill):  # (-1)^y = (-1)^x (-1)^k at distance k
+            h += fills[0].phase * (1 - 2 * (xs % 2)) \
+                * alternating_tail(alpha, 0.0, starts, em_crossover)
+        elif any(values := [f.value for f in fills]):
+            tail = hurwitz_tail(alpha, 0.0, starts, em_crossover)
+            h += values[0] * tail if vol.dimension == 1 else np.outer(tail, values)
+    return h.T if axis else h
 
 
 def _add_nn_bonds(h: np.ndarray, vol: Volume, bc: BoundaryCondition, strength: float,
@@ -790,23 +770,24 @@ def boundary_field(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition, x: Si
 @byte_lru_cache(FIELD_CACHE_BYTES)
 def _field_vector(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
                   em_crossover: int) -> np.ndarray:
-    """The one field builder.  1d and axis couplings sum each near zone as
-    one power-matrix product plus vector ray tails; 2d isotropic couplings
-    add their row sums to the whole array (_isotropic_field)."""
+    """The one field builder.  1d chains and axis couplings sum their rays
+    with _ray_field (a chain is one line; axis couplings walk the rows, and
+    the columns too when the vertical coupling is a power law); 2d isotropic
+    couplings add their row sums to the whole array (_isotropic_field);
+    nearest-neighbor bonds come last."""
     validate_coupling(spec, vol.dimension)
-    shape = (vol.side,) * vol.dimension
+    nn, axes = getattr(spec, "nn_strength", 0.0), range(vol.dimension)
     if isinstance(spec, AnisotropicAxes):
-        h = _axes_field(vol, spec, bc, em_crossover)
+        h = _ray_field(vol, bc, spec.horizontal_alpha, 0, em_crossover)
+        if spec.vertical != "nn":
+            h += _ray_field(vol, bc, float(spec.vertical), 1, em_crossover)
         nn, axes = (1.0 if spec.vertical == "nn" else 0.0), (1,)
+    elif isinstance(spec, NearestNeighbor):
+        h, nn = np.zeros((vol.side,) * vol.dimension), spec.strength
+    elif vol.dimension == 1:
+        h = getattr(spec, "strength", 1.0) * _ray_field(vol, bc, spec.alpha, 0, em_crossover)
     else:
-        nn = spec.strength if isinstance(spec, NearestNeighbor) else getattr(spec, "nn_strength", 0.0)
-        axes = range(vol.dimension)
-        if isinstance(spec, NearestNeighbor):
-            h = np.zeros(shape)
-        elif vol.dimension == 1:
-            h = _line_field(vol, spec, bc, em_crossover)
-        else:
-            h = _isotropic_field(vol, spec, bc, em_crossover)
+        h = _isotropic_field(vol, spec, bc, em_crossover)
     if nn:
         _add_nn_bonds(h, vol, bc, nn, axes)
     h = h.ravel()
@@ -857,6 +838,22 @@ def external_field_vector(vol: Volume, params: ModelParams) -> np.ndarray:
     return table
 
 
+def site_fields(vol: Volume, params: ModelParams, bc: BoundaryCondition) -> np.ndarray:
+    """Static field per site: the boundary field plus the external field."""
+    return boundary_field_vector(vol, params.coupling, bc) + external_field_vector(vol, params)
+
+
+def check_frozen(vol: Volume, frozen: Mapping = None) -> dict:
+    """Checked copy of a partial pattern {site: +-1} over volume sites."""
+    frozen = dict(frozen or {})
+    for site, v in frozen.items():
+        if not vol.contains(site):
+            raise ValueError(f"frozen site {site} outside the volume")
+        if v not in (-1, 1):
+            raise ValueError("frozen spins must be +-1")
+    return frozen
+
+
 def all_plus(vol: Volume) -> np.ndarray:
     return np.ones(vol.n_sites, dtype=np.int8)
 
@@ -883,8 +880,7 @@ def hamiltonian(vol: Volume, params: ModelParams, bc: BoundaryCondition,
     """H = -sum_{unordered pairs} J s s - sum_x s_x (h^bc_x + h_x)."""
     s = as_configuration(vol, config).astype(np.float64)
     J = coupling_matrix(vol, params.coupling)
-    fields = boundary_field_vector(vol, params.coupling, bc) + external_field_vector(vol, params)
-    return float(-0.5 * s @ (J @ s) - s @ fields)
+    return float(-0.5 * s @ (J @ s) - s @ site_fields(vol, params, bc))
 
 
 def energy_delta(vol: Volume, params: ModelParams, bc: BoundaryCondition,
@@ -1006,8 +1002,7 @@ def log_partition(vol: Volume, params: ModelParams, bc: BoundaryCondition) -> fl
     if n > ENUMERATION_SITE_CAP:
         raise CapacityError(f"{n} sites exceed the enumeration cap")
     J = coupling_matrix(vol, params.coupling)
-    fields = boundary_field_vector(vol, params.coupling, bc) + external_field_vector(vol, params)
-    return float(_split_sums(J, fields, params.beta).log_z)
+    return float(_split_sums(J, site_fields(vol, params, bc), params.beta).log_z)
 
 
 def specification_kernel(vol: Volume, params: ModelParams, bc: BoundaryCondition,

@@ -147,6 +147,18 @@ def test_frozen_sites_respected():
         assert st.config[vol.index(2)] == 1
 
 
+@pytest.mark.parametrize("frozen, message", [
+    ({0: 3}, "frozen spins must be"), ({0: 0}, "frozen spins must be"),
+    ({1: -1.5}, "frozen spins must be"), ({4: 1}, "outside the volume")])
+def test_sampler_rejects_invalid_frozen_spins_like_the_oracle(frozen, message):
+    vol = m.Volume(1, 3)
+    params = m.ModelParams(0.7, m.PowerLaw(1.0, 1.5))
+    with pytest.raises(ValueError, match=message):
+        mcmc.sampler_new(vol, params, m.plus_bc(), seed=4, frozen=frozen)
+    with pytest.raises(ValueError, match=message):
+        ex.conditional_site_means(vol, params, m.plus_bc(), frozen)
+
+
 def test_frozen_sampler_matches_conditional_oracle():
     vol = m.Volume(1, 3)
     params = m.ModelParams(1.2, m.PowerLaw(1.0, 1.6))

@@ -336,13 +336,17 @@ def test_boundary_field_2d_axes_brute():
     trunc = 5.0 * R ** -0.5          # two horizontal rays each drop ~2 R^-0.5
     ys = np.concatenate([np.arange(3, R), -np.arange(3, R)])
     # height 4 puts rows 3 and 4 in the near zone of the vertical rays
-    for bc in (m.dobrushin2d_bc(0), m.dobrushin2d_bc(1), m.dobrushin2d_bc(4)):
-        for x in [(0, 0), (2, 1), (-1, -2), (1, 2)]:
+    # pattern sites in the near zones (pinned extent 6) of the rows 1, -2, 0
+    # and the columns 2, -1, 0 of the target sites; (3, 3) is on none of them
+    patterned = m.dobrushin2d_bc(1).with_pattern(
+        {(4, 1): -1, (-5, -2): 1, (3, 0): 1, (2, 6): -1, (-1, -3): 1, (0, 3): -1, (3, 3): -1})
+    for x in [(0, 0), (2, 1), (-1, -2), (1, 2)]:
+        w_horiz, w_vert = np.abs(ys - x[0]) ** -1.5, np.abs(ys - x[1]) ** -2.5
+        for bc in (m.dobrushin2d_bc(0), m.dobrushin2d_bc(1), m.dobrushin2d_bc(4), patterned):
             got = m.boundary_field(vol, spec, bc, x)
             horiz = _exterior_spins(bc, lambda y: (y, x[1]), ys)
             vert = _exterior_spins(bc, lambda y: (x[0], y), ys)
-            brute = float(np.sum(horiz * np.abs(ys - x[0]) ** -1.5)
-                          + np.sum(vert * np.abs(ys - x[1]) ** -2.5))
+            brute = float(np.sum(horiz * w_horiz) + np.sum(vert * w_vert))
             assert abs(got - brute) < trunc
 
 
@@ -363,12 +367,18 @@ def test_boundary_field_2d_nearest_neighbor():
 
 def test_alternating_fill_rejected_in_2d():
     vol = m.Volume(2, 1)
-    bc = m.BoundaryCondition(
+    everywhere = m.BoundaryCondition(
         (m.RegionRule(m.Everywhere(), m.AlternatingFill()),), name="bad2d")
-    with pytest.raises(ValueError):
-        m.boundary_field(vol, m.PowerLaw(1.0, 3.0), bc, (0, 0))
-    with pytest.raises(ValueError):
-        m.boundary_field(vol, m.AnisotropicAxes(1.5, "nn"), bc, (0, 0))
+    # only the rows above 1 alternate: the tails of the first rows are constant,
+    # so every line's fill must be checked
+    above = m.BoundaryCondition(
+        (m.RegionRule(m.HalfPlane("above", 1), m.AlternatingFill()),
+         m.RegionRule(m.Everywhere(), m.ConstFill(1))), name="alternating-above")
+    for bc in (everywhere, above):
+        for spec in (m.PowerLaw(1.0, 3.0), m.AnisotropicAxes(1.5, "nn"),
+                     m.AnisotropicAxes(1.5, 2.5)):
+            with pytest.raises(ValueError, match="alternating fills are 1d-only"):
+                m.boundary_field(vol, spec, bc, (0, 0))
 
 
 # ---------------------------------------------------------------------------

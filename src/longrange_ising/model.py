@@ -546,14 +546,11 @@ class BoundaryCondition:
     # -- row structure used by the 2d isotropic field path ----------------
 
     def row_sign(self, y2: int) -> int:
-        """Constant fill of row y2, ignoring finite pattern overrides."""
+        """Constant fill of row y2, ignoring finite pattern overrides (2d
+        rules only; `_field_vector` checks them)."""
         for rule in self.rules:
             if isinstance(rule, PatternRule):
                 continue
-            if isinstance(rule.region, Interval):
-                raise ValueError("1d interval rule in a 2d boundary condition")
-            if isinstance(rule.fill, AlternatingFill):
-                raise ValueError("alternating fills are 1d-only")
             if isinstance(rule.region, Everywhere) or rule.region.contains((0, y2)):
                 return rule.fill.value
         raise AssertionError("unreachable")
@@ -636,12 +633,9 @@ def pattern_bc(assignments: Mapping[Site, int], base: BoundaryCondition = None) 
 
 
 def _tail_fill(bc: BoundaryCondition, probe: Site):
-    """Fill of an entire unbounded ray tail; `probe` is any tail site.  A 2d
-    probe (a tuple) admits constant fills only."""
+    """Fill of an entire unbounded ray tail; `probe` is any tail site."""
     for rule in bc.rules:
         if isinstance(rule, RegionRule) and rule.matches(probe):
-            if isinstance(probe, tuple) and not isinstance(rule.fill, ConstFill):
-                raise ValueError("alternating fills are 1d-only")
             return rule.fill
     raise AssertionError("unreachable")
 
@@ -774,8 +768,18 @@ def _field_vector(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
     with _ray_field (a chain is one line; axis couplings walk the rows, and
     the columns too when the vertical coupling is a power law); 2d isotropic
     couplings add their row sums to the whole array (_isotropic_field);
-    nearest-neighbor bonds come last."""
+    nearest-neighbor bonds come last.  Exterior rules of the other
+    dimension are rejected first."""
     validate_coupling(spec, vol.dimension)
+    for rule in bc.rules:
+        if not isinstance(rule, RegionRule):
+            continue
+        if vol.dimension == 2 and isinstance(rule.region, Interval):
+            raise ValueError("1d interval rule in a 2d boundary condition")
+        if vol.dimension == 2 and isinstance(rule.fill, AlternatingFill):
+            raise ValueError("alternating fills are 1d-only")
+        if vol.dimension == 1 and isinstance(rule.region, HalfPlane):
+            raise ValueError("half-plane rule in a 1d boundary condition")
     nn, axes = getattr(spec, "nn_strength", 0.0), range(vol.dimension)
     if isinstance(spec, AnisotropicAxes):
         h = _ray_field(vol, bc, spec.horizontal_alpha, 0, em_crossover)

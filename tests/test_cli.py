@@ -225,6 +225,14 @@ def test_cli_exit_codes(tmp_path):
         path = tmp_path / f"config{i}.txt"
         path.write_text(text)
         cases.append(["contours", "--decompose", str(path)])
+    # exterior rules of the other dimension
+    for i, (model_block, bc) in enumerate((
+            ({"dimension": 1, "L": 2}, "dobrushin2d"),
+            ({"dimension": 2, "L": 1, "coupling": {"family": "nn"}}, "alternating"))):
+        path = tmp_path / f"mismatch{i}.json"
+        path.write_text(json.dumps({"subcommand": "enumerate", "model": model_block,
+                                    "bc": {"name": bc}}))
+        cases.append(["run", "--config", str(path)])
     for args in cases:
         proc = run_cli(args)
         assert proc.returncode == 2, args

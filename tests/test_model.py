@@ -381,6 +381,27 @@ def test_alternating_fill_rejected_in_2d():
                 m.boundary_field(vol, spec, bc, (0, 0))
 
 
+def test_rules_of_the_other_dimension_rejected():
+    # each pair used to reach a spin or region lookup first and raise TypeError
+    one_d = (m.PowerLaw(1.0, 1.5), m.IsotropicMixed(1.0, 1.8), m.NearestNeighbor(1.0))
+    two_d = (m.PowerLaw(1.0, 2.5), m.IsotropicMixed(1.0, 3.0), m.NearestNeighbor(1.0),
+             m.AnisotropicAxes(1.5, "nn"), m.AnisotropicAxes(1.5, 2.5))
+    cases = [
+        (m.Volume(1, 2), one_d, (m.dobrushin2d_bc(0), m.dobrushin2d_bc(3)),
+         "half-plane rule in a 1d boundary condition"),
+        (m.Volume(2, 1), two_d, (m.dobrushin1d_bc(), m.frozen_interval_bc(-3, -1),
+                                 m.left_neighborhood_bc(1, 4, 2)),
+         "1d interval rule in a 2d boundary condition"),
+        (m.Volume(2, 1), two_d, (m.alternating_bc(1), m.alternating_bc(-1)),
+         "alternating fills are 1d-only"),
+    ]
+    for vol, specs, bcs, message in cases:
+        for spec in specs:
+            for bc in bcs:
+                with pytest.raises(ValueError, match=message):
+                    m.boundary_field_vector(vol, spec, bc)
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian and kernel
 

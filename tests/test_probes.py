@@ -364,6 +364,130 @@ def test_rigidity_mcmc_small():
 
 
 # ---------------------------------------------------------------------------
+# one measurement path: every probe scalar is the estimator it stands for,
+# bit for bit (exact primitives, or replicas of mcmc.estimate under the
+# probe's stream key and frozen pattern)
+
+_MC = dict(n_sweeps=120, burn_in=20)
+
+
+def _sampled(vol, params, bc, site, seed, frozen=None, key=()):
+    obs = ex.spin_observable(vol, site)
+    return mcmc.combine_estimates(mcmc.replicas(
+        vol, params, bc, seed, probes.MCMC_REPLICAS,
+        lambda st: mcmc.estimate(st, obs, _MC["n_sweeps"], _MC["burn_in"]), frozen, key))
+
+
+def _assert_sampled(scalar, est):
+    assert (scalar.method, scalar.value, scalar.stderr) == ("mcmc", est.mean, est.stderr)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7])
+def test_decimation_scalars_are_the_primitives(beta):
+    vol, params = m.Volume(1, 4), m.ModelParams(beta, m.PowerLaw(1.0, 1.5))
+    exact_r = probes.decimation_probe(1.5, beta, 1)
+    mc = probes.decimation_probe(1.5, beta, 1, method="mcmc", seed=3, **_MC)
+    for sign, tag in ((1, "plus"), (-1, "minus")):
+        bc = m.plus_bc() if sign > 0 else m.minus_bc()
+        frozen = {2: -1, -2: -1, 4: sign, -4: sign}
+        assert exact_r.value(f"m_{tag}_raw") == ex.conditional_expectation(
+            vol, params, bc, frozen, ex.spin_observable(vol, 0))
+        _assert_sampled(mc.scalars[f"m_{tag}_raw"],
+                        _sampled(vol, params, bc, 0, 3, frozen, (1, 0 if sign > 0 else 1)))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7])
+def test_g_scalars_are_the_primitives(beta):
+    vol = m.Volume(1, 4)
+    exact_r = probes.g_probe(1.5, beta, 1, N=4, n=8)
+    mc = probes.g_probe(1.5, beta, 1, N=4, n=8, method="mcmc", seed=4, **_MC)
+    for sign, tag in ((1, "plus"), (-1, "minus")):
+        fields = tuple(probes.past_field(sign, 1.5, 1, 4, 8, s + 4) for s in vol.sites())
+        params = m.ModelParams(beta, m.PowerLaw(1.0, 1.5), field=fields)
+        assert exact_r.value(f"m_{tag}") == ex.expectation(
+            vol, params, m.free_bc(), ex.spin_observable(vol, -4))
+        _assert_sampled(mc.scalars[f"m_{tag}"],
+                        _sampled(vol, params, m.free_bc(), -4, 4, key=(2, 0 if sign > 0 else 1)))
+
+
+def _wetting_frozen(vol, N, lo, hi, inner):
+    """Interval [-N, -1] at `inner`, plus outside the free segments [lo, -N)
+    and [0, hi]."""
+    return {s: inner if -N <= s <= -1 else 1 for s in vol.sites()
+            if -N <= s <= -1 or s < lo or s > hi}
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7])
+def test_wetting_scalars_are_the_primitives(beta):
+    # N = 8, L = 4: window 1, free segments [-10, -9] and [0, 6]
+    kwargs = dict(right_extent=6, left_margin=1)
+    vol, params = m.Volume(1, 10), m.ModelParams(beta, m.PowerLaw(1.0, 1.6))
+    exact_r = probes.wetting_probe(1.6, beta, 4, 8, **kwargs)
+    mc = probes.wetting_probe(1.6, beta, 4, 8, method="mcmc", seed=5, **kwargs, **_MC)
+    minus = _wetting_frozen(vol, 8, -10, 6, -1)
+    plus = _wetting_frozen(vol, 8, -10, 6, 1)
+    profile = ex.conditional_site_means(vol, params, m.plus_bc(), minus)
+    keys = {"profile[-9]": -9, "profile[0]": 0, "far_value": 6}
+    for key, site in keys.items():
+        assert exact_r.value(key) == profile[site]
+        _assert_sampled(mc.scalars[key], _sampled(vol, params, m.plus_bc(), site, 5, minus, (3, 1)))
+    assert exact_r.value("m_plus_phase") == \
+        ex.conditional_site_means(vol, params, m.plus_bc(), plus)[0]
+    _assert_sampled(mc.scalars["m_plus_phase"],
+                    _sampled(vol, params, m.plus_bc(), 0, 5, plus, (3, 0)))
+    for r in (exact_r, mc):
+        assert r.scalars["min_window"] == min((r.scalars["profile[-9]"], r.scalars["profile[0]"]),
+                                              key=lambda s: s.value)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7])
+def test_rigidity_scalars_are_the_primitives(beta):
+    vol, params = m.Volume(2, 1), m.ModelParams(beta, m.AnisotropicAxes(1.5, "nn"))
+    bc = m.dobrushin2d_bc(0)
+    exact_r = probes.rigidity_check(1.5, "nn", beta, 1)
+    mc = probes.rigidity_check(1.5, "nn", beta, 1, method="mcmc", seed=6, **_MC)
+    chain = ex.conditional_site_means(m.Volume(1, 1), m.ModelParams(beta, m.PowerLaw(1.0, 1.5)),
+                                      m.plus_bc())
+    means = ex.conditional_site_means(vol, params, bc)
+    keys = {f"line0[{x}]": (x, 0) for x in (-1, 0, 1)}
+    keys.update(above=(0, 1), below=(0, -1))
+    for x in (-1, 0, 1):
+        assert exact_r.scalars[f"chain[{x}]"] == mc.scalars[f"chain[{x}]"] == \
+            probes.Scalar(chain[x], "exact")
+    for key, site in keys.items():
+        assert exact_r.value(key) == means[site]
+        _assert_sampled(mc.scalars[key], _sampled(vol, params, bc, site, 6))
+    assert exact_r.value("inequality_margin") == min(means[(x, 0)] - chain[x] for x in (-1, 0, 1))
+
+
+def test_wetting_mcmc_chain_sets_in_benchmark_order(monkeypatch):
+    """One set of 8 chains per window site, then the far site, then the plus
+    reference: the benchmark's wetting job slices its chains in this order."""
+    chains, read = [], []
+    real_new, real_read = mcmc.sampler_new, mcmc.estimate_site_means
+
+    def new(vol, params, bc, seed, *args, frozen=None, **kwargs):
+        chains.append((seed, frozen[-1]))
+        return real_new(vol, params, bc, seed, *args, frozen=frozen, **kwargs)
+
+    def site_means(state, sites, *args, **kwargs):
+        read.append(tuple(sites))
+        return real_read(state, sites, *args, **kwargs)
+
+    monkeypatch.setattr(mcmc, "sampler_new", new)
+    monkeypatch.setattr(mcmc, "estimate_site_means", site_means)
+    r = probes.wetting_probe(1.6, 0.7, 8, 8, method="mcmc", seed=5, right_extent=6,
+                             left_margin=1, n_sweeps=20, burn_in=5)
+    assert r.params["window"] == 2
+    sets = [(-10,), (-9,), (0,), (1,), (6,), (0,)]      # window sites, far site, reference
+    reps = probes.MCMC_REPLICAS
+    assert read == [sites for sites in sets for _ in range(reps)]
+    minus = [(seed, -1) for seed in mcmc.replica_seeds(5, reps, (3, 1))]
+    plus = [(seed, 1) for seed in mcmc.replica_seeds(5, reps, (3, 0))]
+    assert chains == minus * 5 + plus
+
+
+# ---------------------------------------------------------------------------
 # reports
 
 

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -288,6 +287,7 @@ def _run_subcommand(cfg: dict, workers: int) -> tuple:
         points = [(cfg, L, beta) for L in Ls for beta in betas]
         fn = _point_enumerate if sub == "enumerate" else _point_sample
         if workers > 1 and len(points) > 1:
+            from concurrent.futures import ProcessPoolExecutor   # only a pool needs it
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(fn, points))
         else:

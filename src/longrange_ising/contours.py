@@ -154,6 +154,7 @@ class ContourFamily:
 def _edge_spins(vol: model.Volume, bc: model.BoundaryCondition) -> tuple:
     if vol.dimension != 1:
         raise ValueError("flip points are 1d geometry")
+    bc.check_dimension(1)
     L = vol.half_width
     lo, hi = bc.spin_at(-L - 1), bc.spin_at(L + 1)
     if lo == 0 or hi == 0:

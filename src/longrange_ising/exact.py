@@ -31,6 +31,10 @@ from . import contours, model
 from .util import (CapacityError, ENUMERATION_SITE_CAP, byte_lru_cache, iter_spin_blocks,
                    spin_rows)
 
+#: Bytes of one block of free-site coupling rows in _reduce (two rows at
+#: 4096 sites), so the broadcast behind it and its masks stay small.
+ROW_BLOCK_BYTES = 64 << 10
+
 #: Byte budget of the cached interface index tables (one int8 entry per
 #: configuration: 8 MiB at L = 11).
 INTERFACE_TABLE_BYTES = 16 << 20
@@ -104,6 +108,8 @@ class _ReducedSystem:
 
     vol: model.Volume
     free_sites: list
+    free_idx: np.ndarray  # volume indices of the free sites
+    template: np.ndarray  # int8 spins: the frozen ones, zero on free sites
     J_ff: np.ndarray      # free-free couplings
     c_f: np.ndarray       # field on free sites: frozen spins + boundary + external
     beta: float
@@ -124,21 +130,26 @@ class _ReducedSystem:
 
 def _reduce(vol: model.Volume, params: model.ModelParams, bc: model.BoundaryCondition,
             frozen: Mapping = None) -> _ReducedSystem:
-    frozen = model.check_frozen(vol, frozen)
-    free_sites = [s for s in vol.sites() if s not in frozen]
-    n_free = len(free_sites)
-    if n_free > ENUMERATION_SITE_CAP:
-        raise CapacityError(f"{n_free} free sites exceed the enumeration cap")
-    fields = model.site_fields(vol, params, bc)
-    rows = model.coupling_rows(vol, params.coupling, free_sites)
-    free_idx = np.array([vol.index(s) for s in free_sites], dtype=np.int64)
-    J_ff = rows[:, free_idx]
-    c_f = fields[free_idx]
-    if frozen and n_free:
-        frozen_idx = np.array([vol.index(s) for s in frozen], dtype=np.int64)
-        frozen_vals = np.array([frozen[s] for s in frozen], dtype=np.float64)
-        c_f += rows[:, frozen_idx] @ frozen_vals
-    return _ReducedSystem(vol, free_sites, J_ff, c_f, params.beta)
+    """The free sites' quadratic form given `frozen`.  Coupling rows of the
+    free sites are built in blocks of about ROW_BLOCK_BYTES."""
+    frozen_idx, spins = model.check_frozen(vol, frozen)
+    template = np.zeros(vol.n_sites, dtype=np.int8)
+    template[frozen_idx] = spins
+    free_idx = np.flatnonzero(template == 0)
+    if free_idx.size > ENUMERATION_SITE_CAP:
+        raise CapacityError(f"{free_idx.size} free sites exceed the enumeration cap")
+    c_f = model.site_fields(vol, params, bc)[free_idx]
+    free_sites = [vol.site(i) for i in free_idx.tolist()]
+    # column-major, the layout of a column gather rows[:, free_idx], which
+    # the enumeration's products round with
+    J_ff = np.empty((free_idx.size, free_idx.size), order="F")
+    step = max(1, ROW_BLOCK_BYTES // (8 * vol.n_sites))
+    for i in range(0, free_idx.size, step):
+        rows = model.coupling_rows(vol, params.coupling, free_sites[i:i + step])
+        J_ff[i:i + step] = rows[:, free_idx]
+        if frozen_idx.size:
+            c_f[i:i + step] += rows[:, frozen_idx] @ spins
+    return _ReducedSystem(vol, free_sites, free_idx, template, J_ff, c_f, params.beta)
 
 
 def expectation(vol: model.Volume, params: model.ModelParams,
@@ -151,10 +162,7 @@ def conditional_expectation(vol: model.Volume, params: model.ModelParams,
                             obs: Observable) -> float:
     """Gibbs expectation restricted to configurations matching `frozen`."""
     sys = _reduce(vol, params, bc, frozen)
-    free_idx = np.array([vol.index(s) for s in sys.free_sites], dtype=np.int64)
-    template = np.zeros(vol.n_sites, dtype=np.int8)
-    for site, v in (frozen or {}).items():
-        template[vol.index(site)] = v
+    free_idx, template = sys.free_idx, sys.template
 
     if obs.weights is None and obs.pair is None:
         def fold(start, p):

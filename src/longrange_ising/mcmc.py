@@ -129,11 +129,11 @@ def sampler_new(vol: model.Volume, params: model.ModelParams,
     else:
         raise ValueError("initial must be plus, minus, or random")
 
-    frozen = model.check_frozen(vol, frozen)
-    for site, v in frozen.items():
-        cfg[vol.index(site)] = v
-    frozen_idx = {vol.index(s) for s in frozen}
-    free_index = np.array([i for i in range(n) if i not in frozen_idx], dtype=np.int64)
+    frozen_idx, spins = model.check_frozen(vol, frozen)
+    cfg[frozen_idx] = spins
+    free = np.ones(n, dtype=bool)
+    free[frozen_idx] = False
+    free_index = np.flatnonzero(free)
 
     state = SamplerState(vol, params, bc, cfg, J, 2.0 * J, static,
                          np.zeros(n), 0.0, rng, free_index)

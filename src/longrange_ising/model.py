@@ -102,7 +102,7 @@ class Volume:
         if self.dimension == 1:
             return isinstance(site, (int, np.integer)) and -L <= site <= L
         x1, x2 = site
-        return -L <= x1 <= L and -L <= x2 <= L
+        return all(isinstance(c, (int, np.integer)) and -L <= c <= L for c in (x1, x2))
 
 
 # ---------------------------------------------------------------------------
@@ -369,31 +369,50 @@ def alternating_tail(alpha: float, shift: float = 0.0, start=0,
     return out if np.ndim(start) else float(out[0])
 
 
+def _half_row_sums(alpha: float, d, start, em_crossover: int = EM_CROSSOVER) -> np.ndarray:
+    """Sum_{k >= start} (k^2 + d^2)^(-alpha/2) for 2d lattice row segments;
+    integer arrays d >= 0 and start >= 1 broadcast together.
+
+    Terms up to K = max(start - 1, 16 d, 1000) are summed directly, smallest
+    first, from one suffix cumsum per distinct d down from max(16 d, 1000),
+    so no entry depends on the rest of the batch.  Beyond K the binomial
+    expansion of (1 + (d/k)^2)^(-alpha/2) takes over; its next term is
+    O((d/K)^8).
+    """
+    d, start = np.broadcast_arrays(np.asarray(d, dtype=np.int64),
+                                   np.asarray(start, dtype=np.int64))
+    shape, d, start = d.shape, d.ravel(), start.ravel()
+    if start.min() < 1:
+        raise ValueError("start must be >= 1")
+    lo, top = int(start.min()), np.maximum(16 * d, 1000)
+    direct, near = np.zeros(d.size), start <= top
+    for dk in sorted(set(d[near].tolist())):
+        ks = np.arange(lo, max(16 * dk, 1000) + 1, dtype=np.float64)
+        suffix = np.cumsum(((ks * ks + float(dk) * dk) ** (-alpha / 2.0))[::-1])[::-1]
+        mine = near & (d == dk)
+        direct[mine] = suffix[start[mine] - lo]
+    a, dd, K, tail = alpha, d.astype(np.float64), np.maximum(start - 1, top), 0.0
+    for j, cj in enumerate((1.0, -a / 2.0, a * (a + 2.0) / 8.0,
+                            -a * (a + 2.0) * (a + 4.0) / 48.0)):
+        tail = tail + cj * dd ** (2 * j) * hurwitz_tail(a + 2 * j, 0.0, K, em_crossover)
+    return (direct + tail).reshape(shape)
+
+
 @lru_cache(maxsize=2048)
 def _half_row_sum(alpha: float, d: int, start: int, em_crossover: int = EM_CROSSOVER) -> float:
-    """Sum_{k >= start} (k^2 + d^2)^(-alpha/2) for a 2d lattice row segment."""
-    if start < 1:
-        raise ValueError("start must be >= 1")
-    if d == 0:
-        return hurwitz_tail(alpha, 0.0, start - 1, em_crossover)
-    K = max(start - 1, 16 * d, 1000)
-    direct = 0.0
-    if K >= start:
-        ks = np.arange(start, K + 1, dtype=np.float64)
-        direct = float(np.sum((ks * ks + float(d) * d) ** (-alpha / 2.0)))
-    # binomial expansion of (1 + (d/k)^2)^(-alpha/2); next term is O((d/K)^8)
-    a = alpha
-    c = [1.0, -a / 2.0, a * (a + 2.0) / 8.0, -a * (a + 2.0) * (a + 4.0) / 48.0]
-    tail = 0.0
-    for j, cj in enumerate(c):
-        tail += cj * float(d) ** (2 * j) * hurwitz_tail(a + 2 * j, 0.0, K, em_crossover)
-    return direct + tail
+    """One entry of _half_row_sums."""
+    return float(_half_row_sums(alpha, d, start, em_crossover))
+
+
+def _full_row_sums(alpha: float, d, em_crossover: int = EM_CROSSOVER) -> np.ndarray:
+    """Sums over whole lattice rows at vertical distances d >= 1 (an array)."""
+    return _power(d, alpha) + 2.0 * _half_row_sums(alpha, d, 1, em_crossover)
 
 
 @lru_cache(maxsize=1024)
 def _full_row_sum(alpha: float, d: int, em_crossover: int = EM_CROSSOVER) -> float:
-    """Sum over a whole lattice row at vertical distance d >= 1."""
-    return float(d) ** (-alpha) + 2.0 * _half_row_sum(alpha, d, 1, em_crossover)
+    """One entry of _full_row_sums."""
+    return float(_full_row_sums(alpha, d, em_crossover))
 
 
 def _row_asymptotic_coeff(alpha: float) -> float:
@@ -527,6 +546,23 @@ class BoundaryCondition:
         pat = PatternRule(tuple(sorted(assignments.items(), key=lambda kv: str(kv[0]))))
         return BoundaryCondition((pat,) + self.rules, name=f"{self.name}+pattern")
 
+    def check_dimension(self, dimension: int) -> None:
+        """Raise ValueError on a rule of the other dimension: a 1d interval,
+        alternating fill or integer pattern site in 2d, a half-plane or tuple
+        pattern site in 1d."""
+        for rule in self.rules:
+            if isinstance(rule, PatternRule):
+                for site, _ in rule.assignments:
+                    if isinstance(site, tuple) != (dimension == 2):
+                        raise ValueError(f"pattern site {site} in a {dimension}d "
+                                         "boundary condition")
+            elif dimension == 2 and isinstance(rule.region, Interval):
+                raise ValueError("1d interval rule in a 2d boundary condition")
+            elif dimension == 2 and isinstance(rule.fill, AlternatingFill):
+                raise ValueError("alternating fills are 1d-only")
+            elif dimension == 1 and isinstance(rule.region, HalfPlane):
+                raise ValueError("half-plane rule in a 1d boundary condition")
+
     def finite_extent(self) -> int:
         """Largest |coordinate| pinned by bounded regions or patterns."""
         ext = 0
@@ -547,7 +583,7 @@ class BoundaryCondition:
 
     def row_sign(self, y2: int) -> int:
         """Constant fill of row y2, ignoring finite pattern overrides (2d
-        rules only; `_field_vector` checks them)."""
+        rules only; `check_dimension` checks them)."""
         for rule in self.rules:
             if isinstance(rule, PatternRule):
                 continue
@@ -708,7 +744,9 @@ def _isotropic_field(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
                      em_crossover: int) -> np.ndarray:
     """Power-law part of h[x1, x2] for 2d isotropic couplings: every exterior
     row adds its sign times its row sum to the whole array, in row order,
-    then the pattern overrides; row signs are read once per vector."""
+    then the pattern overrides; row signs are read once per vector.  The
+    half-row table of the rows crossing the volume and the full-row sums of
+    all distances come from one _half_row_sums array call each."""
     L = vol.half_width
     alpha = spec.alpha
     if alpha <= 2:
@@ -722,20 +760,16 @@ def _isotropic_field(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
     sign = {y2: bc.row_sign(y2) for y2 in range(-y_bound - 1, y_bound + 2)}
 
     h = np.zeros((vol.side, vol.side))
-    half = None                          # half[x1, d]: both half rows at distance d
+    ks = np.arange(vol.side)
+    by_start = _half_row_sums(alpha, ks, ks[:, None] + 1, em_crossover)   # [start - 1, d]
+    half = by_start[::-1] + by_start     # half[x1, d]: both half rows at distance d
+    full = _full_row_sums(alpha, np.arange(1, y_bound + L + 1), em_crossover)
     for y2 in range(-y_bound, y_bound + 1):
         s = sign[y2]
         if s == 0:
             continue
         d = np.abs(y2 - cs)
-        if abs(y2) <= L:
-            if half is None:
-                half = np.array([[_half_row_sum(alpha, k, L + 1 - x1, em_crossover)
-                                  + _half_row_sum(alpha, k, L + 1 + x1, em_crossover)
-                                  for k in range(vol.side)] for x1 in range(-L, L + 1)])
-            h += s * half[:, d]
-        else:
-            h += s * np.array([_full_row_sum(alpha, int(k), em_crossover) for k in d])
+        h += s * (half[:, d] if abs(y2) <= L else full[d - 1])
 
     # rows beyond y_bound: Poisson asymptotic row sums, then a Hurwitz tail
     c = _row_asymptotic_coeff(alpha)
@@ -769,17 +803,9 @@ def _field_vector(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
     the columns too when the vertical coupling is a power law); 2d isotropic
     couplings add their row sums to the whole array (_isotropic_field);
     nearest-neighbor bonds come last.  Exterior rules of the other
-    dimension are rejected first."""
+    dimension are rejected first (BoundaryCondition.check_dimension)."""
     validate_coupling(spec, vol.dimension)
-    for rule in bc.rules:
-        if not isinstance(rule, RegionRule):
-            continue
-        if vol.dimension == 2 and isinstance(rule.region, Interval):
-            raise ValueError("1d interval rule in a 2d boundary condition")
-        if vol.dimension == 2 and isinstance(rule.fill, AlternatingFill):
-            raise ValueError("alternating fills are 1d-only")
-        if vol.dimension == 1 and isinstance(rule.region, HalfPlane):
-            raise ValueError("half-plane rule in a 1d boundary condition")
+    bc.check_dimension(vol.dimension)
     nn, axes = getattr(spec, "nn_strength", 0.0), range(vol.dimension)
     if isinstance(spec, AnisotropicAxes):
         h = _ray_field(vol, bc, spec.horizontal_alpha, 0, em_crossover)
@@ -847,15 +873,33 @@ def site_fields(vol: Volume, params: ModelParams, bc: BoundaryCondition) -> np.n
     return boundary_field_vector(vol, params.coupling, bc) + external_field_vector(vol, params)
 
 
-def check_frozen(vol: Volume, frozen: Mapping = None) -> dict:
-    """Checked copy of a partial pattern {site: +-1} over volume sites."""
-    frozen = dict(frozen or {})
-    for site, v in frozen.items():
-        if not vol.contains(site):
-            raise ValueError(f"frozen site {site} outside the volume")
-        if v not in (-1, 1):
-            raise ValueError("frozen spins must be +-1")
-    return frozen
+def check_frozen(vol: Volume, frozen: Mapping = None) -> tuple:
+    """(volume indices, spins) of a partial pattern {site: +-1} over volume
+    sites, as int64 and float64 arrays in the pattern's order.
+
+    Integer sites inside the volume with spins +-1 pass as whole arrays;
+    any other pattern is walked entry by entry, sites read as Volume reads
+    them, and its first bad entry raises: a site outside the volume, else a
+    spin other than +-1."""
+    if not frozen:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    sites, L = list(frozen), vol.half_width
+    try:
+        xs = np.asarray(sites).reshape(len(sites), vol.dimension)
+        whole = xs.dtype.kind in "iub" and bool(((xs >= -L) & (xs <= L)).all()) \
+            and set(frozen.values()) <= {-1, 1}
+    except (TypeError, ValueError):     # ragged or other-dimension sites, unhashable spins
+        whole = False
+    if not whole:
+        for site, v in frozen.items():
+            if not vol.contains(site):
+                raise ValueError(f"frozen site {site} outside the volume")
+            if v not in (-1, 1):
+                raise ValueError("frozen spins must be +-1")
+        xs = np.array(sites, dtype=np.int64).reshape(len(sites), vol.dimension)
+    xs = xs.astype(np.int64) + L
+    idx = xs[:, 0] if vol.dimension == 1 else xs[:, 0] * vol.side + xs[:, 1]
+    return idx, np.fromiter(frozen.values(), dtype=np.float64, count=len(sites))
 
 
 def all_plus(vol: Volume) -> np.ndarray:

@@ -180,8 +180,12 @@ def past_field(sign: int, alpha: float, L: int, N: int, n: int, x: int,
                em_crossover: int = model.EM_CROSSOVER) -> float:
     """External field at chain site x from a frozen past: an alternating
     window of depth L, the annulus (L, N] at `sign`, plus beyond N, and the
-    plus tail beyond the chain length n.  Tails are Hurwitz sums shifted by
-    x, so the absolute error is below 1e-10.
+    plus tail beyond the chain length n.  With T(s) = Sum_{k > s} (k + x)^(-alpha)
+    the annulus is T(L) - T(N), so the field is
+
+        window + sign T(L) + (1 - sign) T(N) + T(n - 1),
+
+    from three scalar Hurwitz tails; absolute error below 1e-10.
     """
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
@@ -189,13 +193,12 @@ def past_field(sign: int, alpha: float, L: int, N: int, n: int, x: int,
         raise ValueError("x must lie in [0, n]")
     if not L < N < n:
         raise ValueError("need L < N < n")
-    ks = np.arange(1, L + 1, dtype=np.float64)
-    window = float(np.sum((-1.0) ** ks * (ks + x) ** (-alpha)))
-    ks = np.arange(L + 1, N + 1, dtype=np.float64)
-    annulus = sign * float(np.sum((ks + x) ** (-alpha)))
-    beyond_screen = model.hurwitz_tail(alpha, float(x), N, em_crossover)
-    beyond_chain = model.hurwitz_tail(alpha, float(x), n - 1, em_crossover)
-    return window + annulus + beyond_screen + beyond_chain
+    window = sum((-1.0) ** k * (k + x) ** (-alpha) for k in range(1, L + 1))
+
+    def T(s):
+        return model.hurwitz_tail(alpha, float(x), s, em_crossover)
+
+    return window + sign * T(L) + (1 - sign) * T(N) + T(n - 1)
 
 
 def g_probe(alpha: float, beta: float, L: int, method: str = "exact",
@@ -294,14 +297,13 @@ def wetting_probe(alpha: float, beta: float, L: int, N: int,
 def shift_energy_bound(alpha: float, L: int,
                        em_crossover: int = model.EM_CROSSOVER) -> float:
     """Worst-case coupling cost of moving split boundaries up one row:
-    sum over x1 in [0, L], y1 > L of (y1-x1)^(1-alpha) + (x1+y1)^(1-alpha)."""
+    sum over x1 in [0, L], y1 > L of (y1-x1)^(1-alpha) + (x1+y1)^(1-alpha),
+    two array tails with starts L - x1 and L + x1."""
     if alpha <= 2.0:
         raise ValueError("the row bound needs alpha > 2")
-    total = 0.0
-    for x1 in range(0, L + 1):
-        total += model.hurwitz_tail(alpha - 1.0, 0.0, L - x1, em_crossover)
-        total += model.hurwitz_tail(alpha - 1.0, 0.0, L + x1, em_crossover)
-    return total
+    x1 = np.arange(L + 1)
+    return float(np.sum(model.hurwitz_tail(alpha - 1.0, 0.0, L - x1, em_crossover))
+                 + np.sum(model.hurwitz_tail(alpha - 1.0, 0.0, L + x1, em_crossover)))
 
 
 def dobrushin_shift_energy(alpha: float, L: int = 2048, n_points: int = 5) -> tuple:

@@ -201,6 +201,30 @@ def test_ladder_fans_out():
 # process-level behavior
 
 
+def test_ladder_workers_give_the_serial_rows(tmp_path):
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps({
+        "subcommand": "enumerate",
+        "model": {"dimension": 1, "L": [1, 2], "beta": 0.7,
+                  "coupling": {"family": "power_law", "J": 1.0, "alpha": 1.5}},
+        "bc": {"name": "dobrushin1d"},
+    }))
+    rows = {}
+    for workers in ("1", "2"):
+        proc = run_cli(["run", "--config", str(path), "--workers", workers])
+        assert proc.returncode == 0, proc.stderr
+        rows[workers] = json.loads(proc.stdout)["rows"]
+    assert len(rows["1"]) == 2
+    assert rows["2"] == rows["1"]
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    code = "import sys, longrange_ising.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"subcommand": "enumerate", "model": {"nope": 1}}')

@@ -41,6 +41,18 @@ def test_flip_points_need_definite_boundary():
         ct.spin_flip_points(vol, [1] * 5, m.free_bc())
 
 
+def test_flip_geometry_rejects_rules_of_the_other_dimension():
+    # the edge spins used to be read first and raise TypeError
+    vol = m.Volume(1, 2)
+    for call in (lambda bc: ct.triangles(vol, [1] * 5, bc),
+                 lambda bc: ct.interface_point(vol, [1] * 5, bc),
+                 lambda bc: ct.spin_flip_points(vol, [1] * 5, bc)):
+        with pytest.raises(ValueError, match="half-plane rule in a 1d boundary condition"):
+            call(m.dobrushin2d_bc(0))
+        with pytest.raises(ValueError, match=r"pattern site \(0, 3\) in a 1d"):
+            call(m.dobrushin1d_bc().with_pattern({(0, 3): 1}))
+
+
 def test_interface_extremes():
     vol = m.Volume(1, 3)
     L = vol.half_width

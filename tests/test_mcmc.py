@@ -1,6 +1,7 @@
 """Sampler correctness: determinism, balance, caches, oracle agreement."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,7 +150,13 @@ def test_frozen_sites_respected():
 
 @pytest.mark.parametrize("frozen, message", [
     ({0: 3}, "frozen spins must be"), ({0: 0}, "frozen spins must be"),
-    ({1: -1.5}, "frozen spins must be"), ({4: 1}, "outside the volume")])
+    ({1: -1.5}, "frozen spins must be"), ({4: 1}, "outside the volume"),
+    ({1.0: 1}, "frozen site 1.0 outside"), ({0: 1, 2.0: -1}, "frozen site 2.0 outside"),
+    ({(0, 1): 1}, r"frozen site \(0, 1\) outside"), ({np.int64(-4): 1}, "frozen site -4 outside"),
+    ({1 << 70: 1}, "outside the volume"),
+    # the first bad entry decides: a bad spin before an outside site and back
+    ({0: 3, 9: 1}, "frozen spins must be"), ({9: 1, 0: 3}, "frozen site 9 outside"),
+    ({1: 1, 2: 2, 1.5: 1}, "frozen spins must be"), ({1: 1, 1.5: 1, 2: 2}, "frozen site 1.5")])
 def test_sampler_rejects_invalid_frozen_spins_like_the_oracle(frozen, message):
     vol = m.Volume(1, 3)
     params = m.ModelParams(0.7, m.PowerLaw(1.0, 1.5))
@@ -157,6 +164,35 @@ def test_sampler_rejects_invalid_frozen_spins_like_the_oracle(frozen, message):
         mcmc.sampler_new(vol, params, m.plus_bc(), seed=4, frozen=frozen)
     with pytest.raises(ValueError, match=message):
         ex.conditional_site_means(vol, params, m.plus_bc(), frozen)
+
+
+def test_frozen_sites_off_the_2d_lattice_rejected():
+    vol = m.Volume(2, 1)
+    params = m.ModelParams(0.7, m.PowerLaw(1.0, 2.5))
+    for frozen in ({(0.5, 1): 1}, {(0, 0): 1, (1, 1.0): -1}, {(0, 2): 1}):
+        site = list(frozen)[-1]
+        with pytest.raises(ValueError, match=f"frozen site {re.escape(str(site))} outside"):
+            mcmc.sampler_new(vol, params, m.plus_bc(), seed=4, frozen=frozen)
+        with pytest.raises(ValueError, match=f"frozen site {re.escape(str(site))} outside"):
+            ex.conditional_site_means(vol, params, m.plus_bc(), frozen)
+
+
+def test_frozen_sites_of_integer_types_read_as_their_values():
+    for vol, plain, typed in [
+            (m.Volume(1, 3), {1: -1, -2: 1}, {True: -1, np.int64(-2): 1}),
+            (m.Volume(1, 3), {1: -1, -2: 1}, {np.int8(1): -1.0, -2: True}),
+            (m.Volume(2, 1), {(0, 1): -1, (1, -1): 1}, {(0, True): -1, (np.int64(1), -1): 1})]:
+        coupling = m.PowerLaw(1.0, 1.5 if vol.dimension == 1 else 2.5)
+        params = m.ModelParams(0.7, coupling)
+        idx, spins = m.check_frozen(vol, typed)
+        assert idx.tolist() == [vol.index(s) for s in plain]
+        assert spins.tolist() == list(plain.values())
+        assert ex.conditional_site_means(vol, params, m.plus_bc(), typed) \
+            == ex.conditional_site_means(vol, params, m.plus_bc(), plain)
+        a = mcmc.sampler_new(vol, params, m.plus_bc(), seed=4, initial="random", frozen=typed)
+        b = mcmc.sampler_new(vol, params, m.plus_bc(), seed=4, initial="random", frozen=plain)
+        assert a.config.tolist() == b.config.tolist()
+        assert a.free_index.tolist() == b.free_index.tolist()
 
 
 def test_frozen_sampler_matches_conditional_oracle():

@@ -286,6 +286,24 @@ def test_boundary_field_2d_isotropic_brute():
         assert abs(got - brute) < ring_bound + 1e-12
 
 
+@pytest.mark.parametrize("alpha", (2.05, 3.0, 9.5))
+def test_half_row_sums_do_not_depend_on_the_batch(alpha):
+    # heads of 1000 to 4800 terms, starts inside and beyond them: each entry
+    # must equal the scalar view, which computes it alone
+    ds = np.array([0, 1, 2, 7, 16, 63, 64, 65, 299, 300])
+    starts = np.array([1, 2, 5, 17, 999, 1000, 1001, 1002, 4800, 4801, 6000])
+    batch = m._half_row_sums(alpha, ds, starts[:, None])
+    for i, start in enumerate(starts.tolist()):
+        part = m._half_row_sums(alpha, ds[::-1], start)[::-1]
+        for j, d in enumerate(ds.tolist()):
+            want = m._half_row_sum(alpha, d, start, m.EM_CROSSOVER)
+            assert batch[i, j] == part[j] == want
+    full = m._full_row_sums(alpha, ds[1:])
+    assert full.tolist() == [m._full_row_sum(alpha, d, m.EM_CROSSOVER) for d in ds[1:].tolist()]
+    with pytest.raises(ValueError, match="start must be >= 1"):
+        m._half_row_sums(alpha, ds, 0)
+
+
 def _isotropic_site_field(vol, spec, bc, x, y_bound, tails):
     """Per-site reference for _isotropic_field: the same row sums added in
     the same order; `tails` are the (up, down) asymptotic tails at x2."""
@@ -382,7 +400,8 @@ def test_alternating_fill_rejected_in_2d():
 
 
 def test_rules_of_the_other_dimension_rejected():
-    # each pair used to reach a spin or region lookup first and raise TypeError
+    # each pair used to reach a spin or region lookup first and raise TypeError,
+    # or, for pattern sites, to be ignored by the 1d and axis-coupling fields
     one_d = (m.PowerLaw(1.0, 1.5), m.IsotropicMixed(1.0, 1.8), m.NearestNeighbor(1.0))
     two_d = (m.PowerLaw(1.0, 2.5), m.IsotropicMixed(1.0, 3.0), m.NearestNeighbor(1.0),
              m.AnisotropicAxes(1.5, "nn"), m.AnisotropicAxes(1.5, 2.5))
@@ -394,6 +413,12 @@ def test_rules_of_the_other_dimension_rejected():
          "1d interval rule in a 2d boundary condition"),
         (m.Volume(2, 1), two_d, (m.alternating_bc(1), m.alternating_bc(-1)),
          "alternating fills are 1d-only"),
+        (m.Volume(2, 1), two_d, (m.pattern_bc({2: -1}, m.plus_bc()),
+                                 m.dobrushin2d_bc(0).with_pattern({(0, 3): 1, -4: 1})),
+         r"pattern site -?\d in a 2d boundary condition"),
+        (m.Volume(1, 2), one_d, (m.pattern_bc({(0, 3): -1}, m.plus_bc()),
+                                 m.plus_bc().with_pattern({4: 1, (3, 0): -1})),
+         r"pattern site \(\d, \d\) in a 1d boundary condition"),
     ]
     for vol, specs, bcs, message in cases:
         for spec in specs:

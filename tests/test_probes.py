@@ -131,6 +131,21 @@ def test_past_field_brute_tail_accuracy():
     assert abs(got - brute) < trunc + 1e-10
 
 
+@pytest.mark.parametrize("alpha", (1.2, 1.6, 1.9))
+def test_past_field_matches_direct_annulus_sum(alpha):
+    # the annulus as a direct power sum beside two scalar tails
+    for L, N, n in ((1, 4, 8), (2, 16, 20), (2, 512, 516), (4, 16, 64)):
+        for x in sorted({0, 1, 2, n // 3, n // 2, n - 1, n} | set(range(0, n + 1, 37))):
+            ks = np.arange(1, L + 1, dtype=np.float64)
+            window = float(np.sum((-1.0) ** ks * (ks + x) ** (-alpha)))
+            ks = np.arange(L + 1, N + 1, dtype=np.float64)
+            annulus = float(np.sum((ks + x) ** (-alpha)))
+            tails = m.hurwitz_tail(alpha, float(x), N) + m.hurwitz_tail(alpha, float(x), n - 1)
+            for sign in (1, -1):
+                want = window + sign * annulus + tails
+                assert abs(probes.past_field(sign, alpha, L, N, n, x) - want) <= 1e-13
+
+
 def test_g_probe_beta_zero():
     r = probes.g_probe(1.5, 0.0, 2, N=16, n=20)
     assert r.value("gap") == pytest.approx(0.0, abs=1e-13)
@@ -206,6 +221,16 @@ def test_shift_bound_bounded_above_three():
 def test_shift_bound_monotone_in_alpha():
     at = [probes.shift_energy_bound(a, 128) for a in (2.5, 3.0, 3.5, 4.0)]
     assert all(x > y for x, y in zip(at, at[1:]))
+
+
+def test_shift_bound_matches_scalar_tail_loop():
+    for alpha in (2.1, 2.5, 3.0, 3.5, 4.0):
+        for L in (0, 1, 8, 64, 2048):
+            want = 0.0
+            for x1 in range(0, L + 1):
+                want += m.hurwitz_tail(alpha - 1.0, 0.0, L - x1)
+                want += m.hurwitz_tail(alpha - 1.0, 0.0, L + x1)
+            assert abs(probes.shift_energy_bound(alpha, L) / want - 1.0) <= 1e-13
 
 
 def test_shift_bound_brute():

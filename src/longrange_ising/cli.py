@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,16 +27,100 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config schema (v1)
+# config schema (v1): a config is checked by parsing it (_parse)
 
-_COUPLING_KEYS = {
-    "nn": {"J"},
-    "power_law": {"J", "alpha"},
-    "isotropic_mixed": {"J_nn", "alpha"},
-    "anisotropic_axes": {"alpha1", "vertical"},
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    return value
+
+
+def _require(block: dict, key: str, where: str):
+    if key not in block:
+        raise ConfigError(f"{where}: missing required field '{key}'")
+    return block[key]
+
+
+def _choice(value, options, where: str) -> str:
+    if not isinstance(value, str) or value not in options:
+        raise ConfigError(f"{where}: unknown {value!r}, expected one of {sorted(options)}")
+    return value
+
+
+def _integer(value, where: str) -> int:
+    """A JSON integer, or a float of integral value (never a bool)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer")
+    return value
+
+
+def _real(value, where: str) -> float:
+    """A JSON number (never a bool) that is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where}: expected a finite number")
+    return float(value)
+
+
+def _text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a string")
+    return value
+
+
+def _ladder(item):
+    """Reader of one `item`, or of a non-empty list of them, as a list."""
+    def read(value, where: str) -> list:
+        return [item(v, where) for v in (value if isinstance(value, list) and value else [value])]
+    return read
+
+
+def _field(value, where: str):
+    """One number for every site, or a list of one number per site."""
+    return _ladder(_real)(value, where) if isinstance(value, list) else _real(value, where)
+
+
+def _vertical(value, where: str):
+    return value if value == "nn" else _real(value, where)
+
+
+def _block(block, schema: dict, where: str) -> dict:
+    """A JSON object whose keys are in `schema`, with each value read through
+    its schema entry (None keeps the value as it is)."""
+    unknown = _object(block, where).keys() - schema.keys()
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
+    prefix = "" if where == "top level" else where + "."
+    return {k: v if schema[k] is None else schema[k](v, prefix + k)
+            for k, v in block.items()}
+
+
+_TOP = {"subcommand": None, "model": None, "bc": None, "method": None, "sampler": None,
+        "probe": None, "seed": _integer, "out": _text, "emit_csv": None}
+_MODEL = {"dimension": _integer, "L": _ladder(_integer), "beta": _ladder(_real),
+          "coupling": None, "field": _field}
+_SAMPLER = {"n_sweeps": _integer, "burn_in": _integer, "rule": None}
+_PROBE = {"N": _integer, "n": _integer, "alpha": _real, "R": _integer, "L": _integer,
+          "quick": None, "configuration": _text}
+
+#: family: the spec's class and its fields in argument order, each with its
+#: reader and default (None: required)
+_COUPLINGS = {
+    "nn": (model.NearestNeighbor, {"J": (_real, 1.0)}),
+    "power_law": (model.PowerLaw, {"J": (_real, 1.0), "alpha": (_real, None)}),
+    "isotropic_mixed": (model.IsotropicMixed, {"J_nn": (_real, 0.0), "alpha": (_real, None)}),
+    "anisotropic_axes": (model.AnisotropicAxes, {"alpha1": (_real, None),
+                                                 "vertical": (_vertical, "nn")}),
 }
+# immutable, so every config that leaves them out shares them
+_DEFAULT_COUPLING, _DEFAULT_BC = model.PowerLaw(1.0, 1.5), model.plus_bc()
 
-_BC_NAMES = {"plus", "minus", "free", "alternating", "dobrushin1d", "dobrushin2d"}
+_BC_NAMES = {"plus": model.plus_bc, "minus": model.minus_bc, "free": model.free_bc,
+             "alternating": model.alternating_bc, "dobrushin1d": model.dobrushin1d_bc,
+             "dobrushin2d": model.dobrushin2d_bc}
 
 _SUBCOMMANDS = {
     "enumerate", "sample", "contours", "landau", "interface",
@@ -63,94 +148,66 @@ TEMPLATE = {
 }
 
 
-def _reject_unknown(block: dict, allowed: set, where: str) -> None:
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
-
-
-def _require(block: dict, key: str, where: str):
-    if key not in block:
-        raise ConfigError(f"{where}: missing required field '{key}'")
-    return block[key]
-
-
-def parse_coupling(block: dict) -> model.CouplingSpec:
-    family = _require(block, "family", "model.coupling")
-    if family not in _COUPLING_KEYS:
-        raise ConfigError(f"model.coupling.family: unknown family '{family}'")
-    _reject_unknown(block, _COUPLING_KEYS[family] | {"family"}, "model.coupling")
+def parse_coupling(block) -> model.CouplingSpec:
+    where = "model.coupling"
+    family = _choice(_require(_object(block, where), "family", where), _COUPLINGS,
+                     f"{where}.family")
+    spec, fields = _COUPLINGS[family]
+    c = _block(block, {"family": None, **{k: read for k, (read, _) in fields.items()}}, where)
+    args = [_require(c, k, where) if d is None else c.get(k, d) for k, (_, d) in fields.items()]
     try:
-        if family == "nn":
-            return model.NearestNeighbor(float(block.get("J", 1.0)))
-        if family == "power_law":
-            return model.PowerLaw(float(block.get("J", 1.0)),
-                                  float(_require(block, "alpha", "model.coupling")))
-        if family == "isotropic_mixed":
-            return model.IsotropicMixed(float(block.get("J_nn", 0.0)),
-                                        float(_require(block, "alpha", "model.coupling")))
-        vertical = block.get("vertical", "nn")
-        return model.AnisotropicAxes(float(_require(block, "alpha1", "model.coupling")),
-                                     vertical if vertical == "nn" else float(vertical))
+        return spec(*args)
     except ValueError as err:
-        raise ConfigError(f"model.coupling: {err}") from err
+        raise ConfigError(f"{where}: {err}") from err
 
 
-def parse_bc(block: dict) -> model.BoundaryCondition:
-    name = _require(block, "name", "bc")
-    if name not in _BC_NAMES:
-        raise ConfigError(f"bc.name: unknown boundary condition '{name}'")
-    _reject_unknown(block, {"name", "height"}, "bc")
+def parse_bc(block) -> model.BoundaryCondition:
+    b = _block(block, {"name": None, "height": _integer}, "bc")
+    name = _choice(_require(b, "name", "bc"), _BC_NAMES, "bc.name")
     if name == "dobrushin2d":
-        return model.dobrushin2d_bc(int(block.get("height", 0)))
-    return {
-        "plus": model.plus_bc, "minus": model.minus_bc, "free": model.free_bc,
-        "alternating": model.alternating_bc, "dobrushin1d": model.dobrushin1d_bc,
-    }[name]()
+        return model.dobrushin2d_bc(b.get("height", 0))
+    return _BC_NAMES[name]()
 
 
-def _as_ladder(value, where: str) -> list:
-    if isinstance(value, (int, float)):
-        return [value]
-    if isinstance(value, list) and value and all(isinstance(v, (int, float)) for v in value):
-        return list(value)
-    raise ConfigError(f"{where}: expected a number or a non-empty list of numbers")
+class _Parsed(NamedTuple):
+    """A checked config, its model blocks built, its numbers typed."""
+
+    vols: list          # one Volume per L of the ladder
+    params: list        # one ModelParams per beta of the ladder
+    bc: model.BoundaryCondition
+    sampler: dict       # n_sweeps, burn_in and rule, defaults filled in
+    probe: dict
+    method: str
+    seed: int
+
+
+def _parse(cfg) -> _Parsed:
+    """Every check of a config, made by building what a run reads; bad input
+    raises ConfigError."""
+    top = _block(cfg, _TOP, "top level")
+    sub = _choice(_require(top, "subcommand", "top level"), _SUBCOMMANDS, "subcommand")
+    method = _choice(top.get("method", "exact"), ("exact", "mcmc"), "method")
+    seed = top.get("seed", 0)
+    if seed < 0:
+        raise ConfigError("seed: must be a nonnegative integer")
+    m = _block(top.get("model", {}), _MODEL, "model")
+    default_L = [8, 16, 32, 64, 128] if sub == "landau" else [2] if sub.startswith("probe.") else [4]
+    coupling = parse_coupling(m["coupling"]) if "coupling" in m else _DEFAULT_COUPLING
+    try:            # the library's own checks of the model's values
+        vols = [model.Volume(m.get("dimension", 1), L) for L in m.get("L", default_L)]
+        params = [model.ModelParams(b, coupling, m.get("field")) for b in m.get("beta", [1.0])]
+    except ValueError as err:
+        raise ConfigError(f"model: {err}") from err
+    sampler = {"n_sweeps": 20_000, "burn_in": 2_000, "rule": "metropolis",
+               **_block(top.get("sampler", {}), _SAMPLER, "sampler")}
+    probe = _block(top.get("probe", {}), _PROBE, "probe")
+    bc = parse_bc(top["bc"]) if "bc" in top else _DEFAULT_BC
+    return _Parsed(vols, params, bc, sampler, probe, method, seed)
 
 
 def validate_config(cfg: dict) -> dict:
-    if not isinstance(cfg, dict):
-        raise ConfigError("top level: expected a JSON object")
-    _reject_unknown(cfg, {"subcommand", "model", "bc", "method", "sampler",
-                          "probe", "seed", "out", "emit_csv"}, "top level")
-    sub = _require(cfg, "subcommand", "top level")
-    if sub not in _SUBCOMMANDS:
-        raise ConfigError(f"subcommand: unknown '{sub}'")
-    if "model" in cfg:
-        mblock = cfg["model"]
-        _reject_unknown(mblock, {"dimension", "L", "beta", "coupling", "field"}, "model")
-        if "coupling" in mblock:
-            parse_coupling(mblock["coupling"])
-        if "L" in mblock:
-            for L in _as_ladder(mblock["L"], "model.L"):
-                if int(L) != L or L < 0:
-                    raise ConfigError("model.L: half widths must be nonnegative integers")
-        if "beta" in mblock:
-            for b in _as_ladder(mblock["beta"], "model.beta"):
-                if b < 0:
-                    raise ConfigError("model.beta: must be >= 0")
-        if "field" in mblock:
-            _as_ladder(mblock["field"], "model.field")
-    if "bc" in cfg:
-        parse_bc(cfg["bc"])
-    if cfg.get("method", "exact") not in ("exact", "mcmc"):
-        raise ConfigError("method: must be 'exact' or 'mcmc'")
-    if "sampler" in cfg:
-        _reject_unknown(cfg["sampler"], {"n_sweeps", "burn_in", "rule"}, "sampler")
-    if "probe" in cfg:
-        _reject_unknown(cfg["probe"], {"N", "n", "alpha", "R", "L", "quick",
-                                       "configuration"}, "probe")
-    if "seed" in cfg and (not isinstance(cfg["seed"], int) or cfg["seed"] < 0):
-        raise ConfigError("seed: must be a nonnegative integer")
+    """Check a config by parsing it as run_config does; returns it unchanged."""
+    _parse(cfg)
     return cfg
 
 
@@ -214,91 +271,65 @@ def emit_csv(path: str, rows: list) -> None:
 # subcommand execution
 
 
-def _model_pieces(cfg: dict):
-    mblock = cfg.get("model", {})
-    dim = int(mblock.get("dimension", 1))
-    Ls = [int(v) for v in _as_ladder(mblock.get("L", 4), "model.L")]
-    betas = [float(b) for b in _as_ladder(mblock.get("beta", 1.0), "model.beta")]
-    coupling = parse_coupling(mblock.get("coupling", {"family": "power_law",
-                                                      "J": 1.0, "alpha": 1.5}))
-    field = mblock.get("field")
-    bc = parse_bc(cfg.get("bc", {"name": "plus"}))
-    return dim, Ls, betas, coupling, field, bc
-
-
-def _params(vol: model.Volume, beta: float, coupling, field) -> model.ModelParams:
-    params = model.ModelParams(beta, coupling, field)
+def _check_field(vol: model.Volume, params: model.ModelParams) -> None:
     try:
         model.external_field_vector(vol, params)
     except ValueError as err:
         raise ConfigError(f"model.field: {err} ({vol.n_sites} sites)") from err
-    return params
 
 
-def _point_enumerate(args):
-    cfg, L, beta = args
-    dim, _, _, coupling, field, bc = _model_pieces(cfg)
-    vol = model.Volume(dim, L)
-    params = _params(vol, beta, coupling, field)
-    logZ = model.log_partition(vol, params, bc)
-    m0 = exact.expectation(vol, params, bc, exact.spin_observable(
-        vol, 0 if dim == 1 else (0, 0)))
-    return {"L": L, "beta": beta, "log_Z": logZ, "Z": float(np.exp(logZ)),
-            "mean_spin_origin": m0}
+def _alpha(p: _Parsed) -> float:
+    """probe.alpha, else the coupling's alpha, else 1.5."""
+    return p.probe.get("alpha", getattr(p.params[0].coupling, "alpha", 1.5))
 
 
-def _point_sample(args):
-    cfg, L, beta = args
-    dim, _, _, coupling, field, bc = _model_pieces(cfg)
-    sampler_cfg = cfg.get("sampler", {})
-    vol = model.Volume(dim, L)
-    params = _params(vol, beta, coupling, field)
-    obs = exact.spin_observable(vol, 0 if dim == 1 else (0, 0))
-    n_sweeps = int(sampler_cfg.get("n_sweeps", 20_000))
-    burn_in = int(sampler_cfg.get("burn_in", 2_000))
-    rule = sampler_cfg.get("rule", "metropolis")
-    est = mcmc.combine_estimates(mcmc.replicas(
-        vol, params, bc, int(cfg.get("seed", 0)), probes.MCMC_REPLICAS,
-        lambda st: mcmc.estimate(st, obs, n_sweeps, burn_in, rule=rule)))
-    return {"L": L, "beta": beta, "mean_spin_origin": est.mean,
+def _point(args):
+    """One row of an enumerate or sample ladder."""
+    sub, p, vol, params = args
+    _check_field(vol, params)
+    obs = exact.spin_observable(vol, 0 if vol.dimension == 1 else (0, 0))
+    if sub == "enumerate":
+        logZ = model.log_partition(vol, params, p.bc)
+        return {"L": vol.half_width, "beta": params.beta, "log_Z": logZ,
+                "Z": float(np.exp(logZ)),
+                "mean_spin_origin": exact.expectation(vol, params, p.bc, obs)}
+    est = mcmc.combine_estimates(mcmc.replicas(   # p.sampler: n_sweeps, burn_in, rule
+        vol, params, p.bc, p.seed, probes.MCMC_REPLICAS,
+        lambda st: mcmc.estimate(st, obs, **p.sampler)))
+    return {"L": vol.half_width, "beta": params.beta, "mean_spin_origin": est.mean,
             "stderr": est.stderr, "tau": est.tau, "n_samples": est.n_samples}
 
 
 def run_config(cfg: dict, workers: int = 1) -> dict:
-    """Execute a validated config; returns the full result record.  Input
-    that the subcommand rejects (a ValueError) raises ConfigError."""
+    """Execute a config; returns the full result record.  Input that the
+    subcommand rejects (a ValueError) raises ConfigError."""
     t0 = time.time()
+    p = _parse(cfg)
     try:
-        rows, extra = _run_subcommand(cfg, workers)
+        rows, extra = _run_subcommand(cfg["subcommand"], p, workers)
     except ConfigError:
         raise
     except ValueError as err:
         raise ConfigError(f"{cfg['subcommand']}: {err}") from err
-    return {"config": cfg, "tool_version": __version__, "seed": int(cfg.get("seed", 0)),
+    return {"config": cfg, "tool_version": __version__, "seed": p.seed,
             "rows": rows, "wall_clock_s": time.time() - t0, **extra}
 
 
-def _run_subcommand(cfg: dict, workers: int) -> tuple:
-    sub = cfg["subcommand"]
+def _run_subcommand(sub: str, p: _Parsed, workers: int) -> tuple:
     rows, extra = [], {}
 
     if sub in ("enumerate", "sample"):
-        _, Ls, betas, _, _, _ = _model_pieces(cfg)
-        points = [(cfg, L, beta) for L in Ls for beta in betas]
-        fn = _point_enumerate if sub == "enumerate" else _point_sample
+        points = [(sub, p, vol, params) for vol in p.vols for params in p.params]
         if workers > 1 and len(points) > 1:
             from concurrent.futures import ProcessPoolExecutor   # only a pool needs it
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(fn, points))
+                rows = list(pool.map(_point, points))
         else:
-            rows = [fn(p) for p in points]
+            rows = [_point(point) for point in points]
 
     elif sub == "landau":
-        pblock = cfg.get("probe", {})
-        alpha = float(pblock.get("alpha", cfg.get("model", {})
-                                 .get("coupling", {}).get("alpha", 1.5)))
-        Ls = [int(v) for v in _as_ladder(cfg.get("model", {}).get("L", [8, 16, 32, 64, 128]),
-                                         "model.L")]
+        alpha = _alpha(p)
+        Ls = [vol.half_width for vol in p.vols]
         for L in Ls:
             rows.append({"L": L, "droplet_cost": contours.landau_excess_sum(alpha, L),
                          "excess_energy": model.excess_energy(
@@ -307,14 +338,13 @@ def _run_subcommand(cfg: dict, workers: int) -> tuple:
         extra["expected_exponent"] = 2.0 - alpha
 
     elif sub == "interface":
-        dim, Ls, betas, coupling, field, _ = _model_pieces(cfg)
-        vol = model.Volume(1, Ls[0])
-        params = _params(vol, betas[0], coupling, field)
-        law = exact.interface_distribution(vol, params)
-        rows = [{"theta": t, "mass": p} for t, p in zip(law.grid, law.masses)]
+        vol = model.Volume(1, p.vols[0].half_width)
+        _check_field(vol, p.params[0])
+        law = exact.interface_distribution(vol, p.params[0])
+        rows = [{"theta": t, "mass": m} for t, m in zip(law.grid, law.masses)]
 
     elif sub == "contours":
-        text = cfg.get("probe", {}).get("configuration")
+        text = p.probe.get("configuration")
         if text is None:
             raise ConfigError("probe.configuration: serialized configuration required")
         vol, config = contours.parse_configuration(text)
@@ -324,62 +354,43 @@ def _run_subcommand(cfg: dict, workers: int) -> tuple:
         extra["round_trip_ok"] = bool(np.array_equal(rec, config))
 
     elif sub.startswith("probe."):
-        rows, extra = _run_probe(cfg, sub.split(".", 1)[1])
+        rows, extra = _run_probe(p, sub.split(".", 1)[1])
 
     elif sub == "verify":
-        results = verify.run_checks(quick=bool(cfg.get("probe", {}).get("quick")))
+        results = verify.run_checks(quick=bool(p.probe.get("quick")))
         rows = [{"check": name, "ok": ok, "detail": detail}
                 for name, ok, detail in results]
         extra["all_ok"] = all(ok for _, ok, _ in results)
     return rows, extra
 
 
-def _run_probe(cfg: dict, which: str) -> tuple:
-    mblock = cfg.get("model", {})
-    pblock = cfg.get("probe", {})
-    sblock = cfg.get("sampler", {})
-    method = cfg.get("method", "exact")
-    seed = int(cfg.get("seed", 0))
-    alpha = float(pblock.get("alpha", mblock.get("coupling", {}).get("alpha", 1.5)))
-    beta = float(_as_ladder(mblock.get("beta", 1.0), "model.beta")[0])
-    L = int(_as_ladder(mblock.get("L", 2), "model.L")[0])
-    kwargs = {}
-    if method == "mcmc":
-        kwargs = {"n_sweeps": int(sblock.get("n_sweeps", 20_000)),
-                  "burn_in": int(sblock.get("burn_in", 2_000))}
+def _run_probe(p: _Parsed, which: str) -> tuple:
+    alpha, beta, L, pblock = _alpha(p), p.params[0].beta, p.vols[0].half_width, p.probe
+    alpha1 = getattr(p.params[0].coupling, "horizontal_alpha", alpha)
+    run = {"method": p.method, "seed": p.seed}
+    if p.method == "mcmc":
+        run.update(n_sweeps=p.sampler["n_sweeps"], burn_in=p.sampler["burn_in"])
 
     if which == "decimation":
-        report = probes.decimation_probe(alpha, beta, L, method=method, seed=seed, **kwargs)
+        report = probes.decimation_probe(alpha, beta, L, **run)
     elif which == "g":
-        report = probes.g_probe(alpha, beta, L, method=method, seed=seed,
-                                N=pblock.get("N"), n=pblock.get("n"), **kwargs)
+        report = probes.g_probe(alpha, beta, L, N=pblock.get("N"), n=pblock.get("n"), **run)
     elif which == "wetting":
-        report = probes.wetting_probe(alpha, beta, L, int(pblock.get("N", 2048)),
-                                      method=method, seed=seed, **kwargs)
+        report = probes.wetting_probe(alpha, beta, L, pblock.get("N", 2048), **run)
     elif which == "rigidity":
-        vertical = mblock.get("coupling", {}).get("vertical", "nn")
-        report = probes.rigidity_check(
-            float(mblock.get("coupling", {}).get("alpha1", alpha)),
-            vertical if vertical == "nn" else float(vertical),
-            beta, L, method=method, seed=seed, **kwargs)
+        vertical = getattr(p.params[0].coupling, "vertical", "nn")
+        report = probes.rigidity_check(alpha1, vertical, beta, L, **run)
     elif which == "shift":
-        D, slope = probes.dobrushin_shift_energy(alpha, int(pblock.get("L", 2048)))
+        D, slope = probes.dobrushin_shift_energy(alpha, pblock.get("L", 2048))
         return ([{"alpha": alpha, "bound": D, "fitted_exponent": slope}],
                 {"expected_exponent": 3.0 - alpha})
     elif which == "gs-step":
-        value, tail = probes.gs_step_energy(alpha, int(pblock.get("R", 256)))
+        value, tail = probes.gs_step_energy(alpha, pblock.get("R", 256))
         return [{"alpha": alpha, "value": value, "tail_bound": tail}], {}
     elif which == "percus":
-        out = probes.percus_transform(
-            model.AnisotropicAxes(float(mblock.get("coupling", {}).get("alpha1", alpha)),
-                                  "nn"),
-            model.Volume(2, L))
-        return ([], {"identity_table_ok": out["identity_table_ok"],
-                     "couplings_nonnegative": out["couplings_nonnegative"],
-                     "min_coefficient": out["min_coefficient"],
-                     "hamiltonian_deviation": out["hamiltonian_deviation"]})
-    else:
-        raise ConfigError(f"probe: unknown probe '{which}'")
+        out = probes.percus_transform(model.AnisotropicAxes(alpha1, "nn"), model.Volume(2, L))
+        return [], {k: out[k] for k in ("identity_table_ok", "couplings_nonnegative",
+                                        "min_coefficient", "hamiltonian_deviation")}
 
     rows = [{"scalar": k, **v.as_dict()} for k, v in sorted(report.scalars.items())]
     return rows, {"verdicts": report.verdicts, "probe_params": report.params}
@@ -389,12 +400,15 @@ def _run_probe(cfg: dict, which: str) -> tuple:
 # argparse front end
 
 
-def _add_common(sp):
+def _add_common(sp, model_flags: bool = False):
     sp.add_argument("--config", help="JSON experiment config")
     sp.add_argument("--seed", type=int, default=None, help="master seed")
     sp.add_argument("--workers", type=int, default=1, help="ladder-point workers")
     sp.add_argument("--out", default=None, help="results JSONL path")
     sp.add_argument("--format", choices=("json", "csv", "both"), default="json")
+    if model_flags:
+        for flag, kind in (("--L", int), ("--alpha", float), ("--beta", float)):
+            sp.add_argument(flag, type=kind, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,10 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("enumerate", "sample", "landau", "interface", "contours"):
         sp = sub.add_parser(name)
-        _add_common(sp)
-        sp.add_argument("--L", type=int, default=None)
-        sp.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--beta", type=float, default=None)
+        _add_common(sp, model_flags=True)
         sp.add_argument("--bc", default=None)
         if name == "contours":
             sp.add_argument("--decompose", default=None,
@@ -419,10 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("probe")
     sp.add_argument("which", choices=("decimation", "g", "wetting", "shift",
                                       "gs-step", "percus", "rigidity"))
-    _add_common(sp)
-    sp.add_argument("--L", type=int, default=None)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None)
+    _add_common(sp, model_flags=True)
     sp.add_argument("--N", type=int, default=None)
     sp.add_argument("--method", choices=("exact", "mcmc"), default=None)
 
@@ -438,12 +446,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _flags_to_config(args) -> dict:
     cfg = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"config file: invalid JSON at line {err.lineno}: "
-                                  f"{err.msg}") from err
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"config file: invalid JSON at line {err.lineno}: "
+                              f"{err.msg}") from err
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"config file: {err}") from err
+    _object(cfg, "top level")
+
+    def block(key):            # a flag writes into the config's own block
+        return _object(cfg.setdefault(key, {}), key)
+
     command = args.command
     if command == "probe":
         cfg.setdefault("subcommand", f"probe.{args.which}")
@@ -452,26 +467,21 @@ def _flags_to_config(args) -> dict:
     elif "subcommand" not in cfg:
         raise ConfigError("run: config must carry a 'subcommand'")
 
-    mblock = cfg.setdefault("model", {})
-    if getattr(args, "L", None) is not None:
-        mblock["L"] = args.L
-    if getattr(args, "beta", None) is not None:
-        mblock["beta"] = args.beta
+    mblock = block("model")
+    for key, where in (("L", "model"), ("beta", "model"), ("alpha", "probe"), ("N", "probe")):
+        if getattr(args, key, None) is not None:
+            block(where)[key] = getattr(args, key)
     if getattr(args, "alpha", None) is not None:
-        cfg.setdefault("probe", {})["alpha"] = args.alpha
-        mblock.setdefault("coupling", {"family": "power_law", "J": 1.0,
-                                       "alpha": args.alpha})
+        mblock.setdefault("coupling", {"family": "power_law", "J": 1.0, "alpha": args.alpha})
     if getattr(args, "bc", None):
         cfg["bc"] = {"name": args.bc}
-    if getattr(args, "N", None) is not None:
-        cfg.setdefault("probe", {})["N"] = args.N
     if getattr(args, "method", None):
         cfg["method"] = args.method
     if getattr(args, "quick", False):
-        cfg.setdefault("probe", {})["quick"] = True
+        block("probe")["quick"] = True
     if getattr(args, "decompose", None):
         with open(args.decompose, "r", encoding="utf-8") as fh:
-            cfg.setdefault("probe", {})["configuration"] = fh.read()
+            block("probe")["configuration"] = fh.read()
     if args.seed is not None:
         cfg["seed"] = args.seed
     if not mblock:

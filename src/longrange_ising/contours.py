@@ -162,6 +162,12 @@ def _edge_spins(vol: model.Volume, bc: model.BoundaryCondition) -> tuple:
     return lo, hi
 
 
+def _check_split(vol: model.Volume, bc: model.BoundaryCondition = None) -> None:
+    """Raise unless `bc` (default dobrushin1d_bc()) is minus left, plus right."""
+    if _edge_spins(vol, bc or model.dobrushin1d_bc()) != (-1, 1):
+        raise ValueError("interface point needs minus-left/plus-right boundaries")
+
+
 def spin_flip_points(vol: model.Volume, config, bc: model.BoundaryCondition) -> list:
     """Dual points k+1/2 where adjacent spins disagree, boundary included."""
     lo, hi = _edge_spins(vol, bc)
@@ -226,10 +232,8 @@ def _interface(L: int, spins: list) -> float:
 
 def interface_point(vol: model.Volume, config, bc: model.BoundaryCondition = None) -> float:
     """The unique unpaired flip point under minus/plus split boundaries."""
-    bc = bc or model.dobrushin1d_bc()
     cfg = model.as_configuration(vol, config)
-    if _edge_spins(vol, bc) != (-1, 1):
-        raise ValueError("interface point needs minus-left/plus-right boundaries")
+    _check_split(vol, bc)
     return _interface(vol.half_width, cfg.tolist())
 
 
@@ -241,9 +245,7 @@ def interface_points(vol: model.Volume, S, bc: model.BoundaryCondition = None) -
     (count, |point|) and the center-spin tie-break are those of
     interface_point, which is the reference.
     """
-    bc = bc or model.dobrushin1d_bc()
-    if _edge_spins(vol, bc) != (-1, 1):
-        raise ValueError("interface point needs minus-left/plus-right boundaries")
+    _check_split(vol, bc)
     S = np.asarray(S, dtype=np.int8)
     if S.ndim != 2 or S.shape[1] != vol.n_sites:
         raise ValueError(f"configurations need {vol.n_sites} spins per row")

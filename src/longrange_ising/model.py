@@ -434,10 +434,6 @@ class Interval:
     def contains(self, y: Site) -> bool:
         return (self.lo is None or y >= self.lo) and (self.hi is None or y <= self.hi)
 
-    @property
-    def bounded(self) -> bool:
-        return self.lo is not None and self.hi is not None
-
 
 @dataclass(frozen=True)
 class HalfPlane:
@@ -579,17 +575,19 @@ class BoundaryCondition:
                 ext = max(ext, abs(rule.region.boundary))
         return ext
 
-    # -- row structure used by the 2d isotropic field path ----------------
+    def tail_fill(self, probe: Site):
+        """Fill of the first region rule containing `probe`, patterns skipped:
+        the fill of a whole unbounded ray tail when `probe` is any site of
+        it, or of a whole 2d row."""
+        for rule in self.rules:
+            if isinstance(rule, RegionRule) and rule.matches(probe):
+                return rule.fill
+        raise AssertionError("unreachable: trailing rule covers everything")
 
     def row_sign(self, y2: int) -> int:
         """Constant fill of row y2, ignoring finite pattern overrides (2d
         rules only; `check_dimension` checks them)."""
-        for rule in self.rules:
-            if isinstance(rule, PatternRule):
-                continue
-            if isinstance(rule.region, Everywhere) or rule.region.contains((0, y2)):
-                return rule.fill.value
-        raise AssertionError("unreachable")
+        return self.tail_fill((0, y2)).value
 
     def pattern_sites(self) -> list:
         out = []
@@ -668,14 +666,6 @@ def pattern_bc(assignments: Mapping[Site, int], base: BoundaryCondition = None) 
 # boundary fields
 
 
-def _tail_fill(bc: BoundaryCondition, probe: Site):
-    """Fill of an entire unbounded ray tail; `probe` is any tail site."""
-    for rule in bc.rules:
-        if isinstance(rule, RegionRule) and rule.matches(probe):
-            return rule.fill
-    raise AssertionError("unreachable")
-
-
 def _power_sum(xs: np.ndarray, ys: np.ndarray, spins: np.ndarray, alpha: float) -> np.ndarray:
     """Sum_y |y - x|^(-alpha) * spins[y] for every x: the power matrix of the
     near zone times its spins (a vector or one column per line), built in row
@@ -713,7 +703,7 @@ def _ray_field(vol: Volume, bc: BoundaryCondition, alpha: float, axis: int,
         spins = np.array([bc.spin_at(site(c, y)) for y in ys.tolist() for c in lines],
                          dtype=np.float64).reshape(ys.shape + shape[1:])
         h += _power_sum(xs, ys, spins, alpha)
-        fills = [_tail_fill(bc, site(c, direction * (W + 1))) for c in lines]
+        fills = [bc.tail_fill(site(c, direction * (W + 1))) for c in lines]
         starts = W - direction * xs
         if isinstance(fills[0], AlternatingFill):  # (-1)^y = (-1)^x (-1)^k at distance k
             h += fills[0].phase * (1 - 2 * (xs % 2)) \

@@ -106,19 +106,17 @@ def format_float(x: float) -> str:
     return "%.12e" % float(x)
 
 
-def _canonicalize(obj):
+def _canonicalize(obj):     # json.dumps sorts the keys
+    if isinstance(obj, (float, np.floating)):
+        return float(format_float(obj)) if math.isfinite(obj) else str(obj)
     if isinstance(obj, dict):
-        return {str(k): _canonicalize(obj[k]) for k in sorted(obj, key=str)}
+        return {str(k): _canonicalize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_canonicalize(v) for v in obj]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        if math.isnan(obj) or math.isinf(obj):
-            return str(obj)
-        return float(format_float(float(obj)))
     return obj
 
 

@@ -2,13 +2,20 @@
 
 import json
 import math
+import pathlib
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from longrange_ising import cli, verify
+from longrange_ising.util import canonical_json, format_float
+
+#: named configs, each malformed in one block or value; every one must end in
+#: a config error (the CI workflow runs the same table through the CLI)
+MALFORMED = json.loads((pathlib.Path(__file__).parent / "malformed_configs.json").read_text())
 
 
 def run_cli(args, cwd=None):
@@ -55,6 +62,15 @@ def test_per_site_field_list_runs_and_bad_length_is_config_error(tmp_path):
     assert res.returncode == 2 and "model.field" in res.stderr
     with pytest.raises(cli.ConfigError, match="model.field"):
         cli.validate_config({"subcommand": "enumerate", "model": {"field": "strong"}})
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_config_exits_2(name, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED[name]))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
 
 
 def test_valid_config_passes():
@@ -140,6 +156,40 @@ def test_csv_and_json_share_formatting(tmp_path):
     csv_cell = (tmp_path / "r.csv").read_text().splitlines()[1].split(",")[0]
     assert float(csv_cell) == js["rows"][0]["value"]
     assert csv_cell == "1.234567890123e-01"
+
+
+def _reference_canonicalize(obj):
+    """canonical_json's tree walk as it was first written: the reference."""
+    if isinstance(obj, dict):
+        return {str(k): _reference_canonicalize(obj[k]) for k in sorted(obj, key=str)}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_canonicalize(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        if math.isnan(obj) or math.isinf(obj):
+            return str(obj)
+        return float(format_float(float(obj)))
+    return obj
+
+
+def test_canonical_json_matches_the_reference_walk():
+    interface = cli.run_config(cli.validate_config({
+        "subcommand": "interface", "model": {"L": 4, "beta": 3.0}}))
+    corpus = [
+        interface,
+        {"f": 0.1, "f32": np.float32(1 / 3), "f64": np.float64(2 / 3), "i64": np.int64(-7),
+         "i8": np.int8(3), "b": True, "nb": np.bool_(False), "none": None, "s": "x"},
+        [math.nan, math.inf, -math.inf, np.float64("nan"), np.float32("-inf"), -0.0, 1e-300],
+        (1, (2.5, [np.float64(1e300)]), {"t": (True, False)}),
+        {3: "int key", "10": [1, 2], 2.5: {1: 0.1, "1": 0.2}, "a": {}, "z": []},
+        {True: 1, "True": 2, None: 3},
+    ]
+    for obj in corpus:
+        want = json.dumps(_reference_canonicalize(obj), sort_keys=True, separators=(",", ":"))
+        assert canonical_json(obj) == want
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,30 @@ def test_site_means_memory_bounded(n_free):
     assert peak < 64 << 20
 
 
+def test_conditional_pair_expectation_memory_bounded():
+    # the wetting geometry at N = 2048, L = 4: 4105 sites, 18 of them free;
+    # a pair moment reads one entry, never a matrix over the whole volume
+    N, vol = 2048, m.Volume(1, 2052)
+    frozen = {s: -1 if -N <= s <= -1 else 1 for s in vol.sites() if -N <= s <= -1 or s > 13}
+    params, bc = m.ModelParams(4.0, m.PowerLaw(1.0, 1.6)), m.plus_bc()
+    means = ex.conditional_site_means(vol, params, bc, frozen)     # warms the field cache
+    assert len(means) == 18
+    tracemalloc.start()
+    try:
+        free_pair = ex.conditional_expectation(vol, params, bc, frozen,
+                                               ex.pair_observable(vol, 0, -2050))
+        mixed = ex.conditional_expectation(vol, params, bc, frozen,
+                                           ex.pair_observable(vol, 0, -1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert mixed == -means[0]
+    assert free_pair == ex.conditional_expectation(vol, params, bc, frozen,
+                                                   ex.pair_observable(vol, -2050, 0))
+    assert -1.0 <= free_pair <= 1.0
+
+
 # ---------------------------------------------------------------------------
 # expectations
 

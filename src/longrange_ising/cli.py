@@ -99,7 +99,7 @@ def _block(block, schema: dict, where: str) -> dict:
 
 
 _TOP = {"subcommand": None, "model": None, "bc": None, "method": None, "sampler": None,
-        "probe": None, "seed": _integer, "out": _text, "emit_csv": None}
+        "probe": None, "seed": _integer, "out": _text}
 _MODEL = {"dimension": _integer, "L": _ladder(_integer), "beta": _ladder(_real),
           "coupling": None, "field": _field}
 _SAMPLER = {"n_sweeps": _integer, "burn_in": _integer, "rule": None}
@@ -443,17 +443,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _read_file(path: str, where: str, parse=str):
+    """Read and parse a file named on the command line; failing that, a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{where}: invalid JSON at line {err.lineno}: {err.msg}") from err
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"{where}: {err}") from err
+
+
 def _flags_to_config(args) -> dict:
-    cfg = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config file: invalid JSON at line {err.lineno}: "
-                              f"{err.msg}") from err
-        except (OSError, UnicodeDecodeError) as err:
-            raise ConfigError(f"config file: {err}") from err
+    cfg = _read_file(args.config, "config file", json.loads) if args.config else {}
     _object(cfg, "top level")
 
     def block(key):            # a flag writes into the config's own block
@@ -480,8 +482,7 @@ def _flags_to_config(args) -> dict:
     if getattr(args, "quick", False):
         block("probe")["quick"] = True
     if getattr(args, "decompose", None):
-        with open(args.decompose, "r", encoding="utf-8") as fh:
-            block("probe")["configuration"] = fh.read()
+        block("probe")["configuration"] = _read_file(args.decompose, "--decompose")
     if args.seed is not None:
         cfg["seed"] = args.seed
     if not mblock:

@@ -3,10 +3,10 @@
 Volumes are centered boxes [-L, L] (1d) or ([-L, L] cap Z)^2 (2d).  Interior
 pair sums count each unordered pair once.  Boundary fields are exact: a
 directly enumerated near zone plus analytic tails (Euler-Maclaurin corrected
-Hurwitz-type sums), accurate to better than 1e-10 absolute.  One ray routine
-(_ray_field) sums the rays of a 1d chain and of 2d axis couplings; 2d
-isotropic couplings sum whole exterior rows.  site_fields adds the external
-field to the boundary field: the static field every kernel and sampler reads.
+Hurwitz-type sums), accurate to better than 1e-10 absolute.  Every unbounded
+tail goes through one ray routine (_ray_field), the exterior rows of 2d
+isotropic couplings too.  site_fields adds the external field to the boundary
+field: the static field every kernel and sampler reads.
 
 All public objects are immutable (frozen dataclasses over hashable fields),
 so derived arrays can be cached and shared freely across workers.
@@ -43,10 +43,6 @@ FIELD_CACHE_BYTES = 256 << 10
 
 #: Bytes of one (sites x near-zone) power-matrix block of a field vector.
 NEAR_BLOCK_BYTES = 4 << 20
-
-#: Rows farther than this from a 2d target site use the Poisson asymptotic
-#: row sum c_alpha * d**(1-alpha); the residual is O(exp(-2*pi*d)).
-ROW_ASYMPTOTIC_DISTANCE = 24
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +411,23 @@ def _full_row_sum(alpha: float, d: int, em_crossover: int = EM_CROSSOVER) -> flo
     return float(_full_row_sums(alpha, d, em_crossover))
 
 
-def _row_asymptotic_coeff(alpha: float) -> float:
-    """Integral of (t^2 + 1)^(-alpha/2): sqrt(pi) Gamma((a-1)/2) / Gamma(a/2)."""
-    return math.sqrt(math.pi) * math.gamma((alpha - 1.0) / 2.0) / math.gamma(alpha / 2.0)
+def _row_leading_term(alpha: float) -> tuple:
+    """(c_alpha, D(alpha)) of whole lattice rows Sum_x (x^2 + d^2)^(-alpha/2).
+    By Poisson summation a row is c_alpha d^(1-alpha), c_alpha = sqrt(pi)
+    Gamma(nu) / Gamma(alpha/2) with nu = (alpha - 1) / 2, plus (4 pi^(a/2) /
+    Gamma(a/2)) d^(-nu) Sum_{k>=1} k^nu K_nu(2 pi k d).  As K_nu(x) <=
+    sqrt(pi/2x) e^(-x) (1 - (nu - 1/2)/2x)^(-(nu + 1/2)) for x > (nu - 1/2)/2,
+    the k = 1 term is at most 2 pi^nu / Gamma(nu) d^(nu - 1/2) e^(-2 pi d)
+    (1 - (nu - 1/2)/(4 pi d))^(-(nu + 1/2)) times the leading term.  D(alpha)
+    is the first d at which that factor is below 2^-53, compared in logs so
+    that nothing under- or overflows at large alpha."""
+    nu = (alpha - 1.0) / 2.0
+    log_factor = 54.0 * math.log(2.0) + nu * math.log(math.pi) - math.lgamma(nu)
+    d = 1 + int((nu - 0.5) / (4.0 * math.pi))      # x = 2 pi d > (nu - 1/2)/2 from here
+    while log_factor + (nu - 0.5) * math.log(d) - 2.0 * math.pi * d \
+            - (nu + 0.5) * math.log1p(-(nu - 0.5) / (4.0 * math.pi * d)) >= 0.0:
+        d += 1
+    return math.sqrt(math.pi) * math.gamma(nu) / math.gamma(alpha / 2.0), d
 
 
 # ---------------------------------------------------------------------------
@@ -732,41 +742,29 @@ def _add_nn_bonds(h: np.ndarray, vol: Volume, bc: BoundaryCondition, strength: f
 
 def _isotropic_field(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
                      em_crossover: int) -> np.ndarray:
-    """Power-law part of h[x1, x2] for 2d isotropic couplings: every exterior
-    row adds its sign times its row sum to the whole array, in row order,
-    then the pattern overrides; row signs are read once per vector.  The
-    half-row table of the rows crossing the volume and the full-row sums of
-    all distances come from one _half_row_sums array call each."""
-    L = vol.half_width
-    alpha = spec.alpha
-    if alpha <= 2:
-        raise ValueError("2d isotropic tails need alpha > 2")
-    amp = spec.strength if isinstance(spec, PowerLaw) else 1.0
+    """Power-law part of h[x1, x2] for 2d isotropic couplings.  Rows that
+    cross the volume add both half rows (one _half_row_sums table); the rest
+    add their Poisson leading terms c_alpha d^(1-alpha) as one ray along the
+    columns (_ray_field, exponent alpha - 1), and the exact remainder
+    _full_row_sums(d) - c_alpha d^(1-alpha) within D(alpha) of a site.  Rows
+    add in row order, then the ray, then the pattern overrides."""
+    L, alpha = vol.half_width, spec.alpha
     cs = np.arange(-L, L + 1)
-    bmax = max((abs(r.region.boundary) for r in bc.rules
-                if isinstance(r, RegionRule) and isinstance(r.region, HalfPlane)),
-               default=0)
-    y_bound = max(L, bmax) + ROW_ASYMPTOTIC_DISTANCE + L
-    sign = {y2: bc.row_sign(y2) for y2 in range(-y_bound - 1, y_bound + 2)}
+    c, D = _row_leading_term(alpha)
 
     h = np.zeros((vol.side, vol.side))
     ks = np.arange(vol.side)
     by_start = _half_row_sums(alpha, ks, ks[:, None] + 1, em_crossover)   # [start - 1, d]
     half = by_start[::-1] + by_start     # half[x1, d]: both half rows at distance d
-    full = _full_row_sums(alpha, np.arange(1, y_bound + L + 1), em_crossover)
-    for y2 in range(-y_bound, y_bound + 1):
-        s = sign[y2]
-        if s == 0:
-            continue
-        d = np.abs(y2 - cs)
-        h += s * (half[:, d] if abs(y2) <= L else full[d - 1])
-
-    # rows beyond y_bound: Poisson asymptotic row sums, then a Hurwitz tail
-    c = _row_asymptotic_coeff(alpha)
-    for s, starts in ((sign[y_bound + 1], y_bound - cs), (sign[-y_bound - 1], y_bound + cs)):
-        if s:
-            h += s * c * hurwitz_tail(alpha - 1.0, 0.0, starts, em_crossover)
-    h *= amp
+    ds = np.arange(1, D)
+    rest = np.append(_full_row_sums(alpha, ds, em_crossover) - c * _power(ds, alpha - 1.0), 0.0)
+    for y2 in range(1 - L - D, L + D):
+        if s := bc.row_sign(y2):
+            d = np.abs(y2 - cs)
+            h += s * (half[:, d] if abs(y2) <= L else rest[np.minimum(d, D) - 1])
+    regions = BoundaryCondition(tuple(r for r in bc.rules if isinstance(r, RegionRule)))
+    h += c * _ray_field(vol, regions, alpha - 1.0, 1, em_crossover)
+    h *= getattr(spec, "strength", 1.0)
 
     # finite pattern overrides relative to the row baseline
     for site, val in bc.pattern_sites():
@@ -788,10 +786,10 @@ def boundary_field(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition, x: Si
 @byte_lru_cache(FIELD_CACHE_BYTES)
 def _field_vector(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
                   em_crossover: int) -> np.ndarray:
-    """The one field builder.  1d chains and axis couplings sum their rays
-    with _ray_field (a chain is one line; axis couplings walk the rows, and
-    the columns too when the vertical coupling is a power law); 2d isotropic
-    couplings add their row sums to the whole array (_isotropic_field);
+    """The one field builder; every unbounded tail goes through _ray_field.
+    A 1d chain is one line; axis couplings walk the rows, and the columns
+    too when the vertical coupling is a power law; 2d isotropic couplings
+    add their exterior rows' leading terms as one ray (_isotropic_field);
     nearest-neighbor bonds come last.  Exterior rules of the other
     dimension are rejected first (BoundaryCondition.check_dimension)."""
     validate_coupling(spec, vol.dimension)

@@ -1,5 +1,6 @@
 """Couplings, tail sums, boundary fields, Hamiltonians."""
 
+import functools
 import itertools
 import math
 
@@ -222,18 +223,23 @@ def test_boundary_field_alternating_brute():
         assert got == pytest.approx(float(right + left), abs=1e-8)
 
 
-def _exterior_spins(bc, site, ys, E=64):
-    """bc spins at site(y) for y in ys: read directly for |y| <= E, and beyond
-    from the parity-matched site at distance E+1 or E+2 on the same side
-    (every pinned region and pattern lies within E)."""
-    out = np.empty(ys.size)
-    near = np.abs(ys) <= E
-    out[near] = [bc.spin_at(site(int(y))) for y in ys[near]]
+def _ray_brute(bcs, site, x, alpha, first, R, E=64):
+    """For each bc of bcs, Sum over first <= |y| < R of its spin at site(y)
+    times |y - x|^-alpha.  Spins are read directly for |y| <= E; every pinned
+    region and pattern lies within E, so beyond it the site at E+1 or E+2 on
+    the same side stands for all sites of its parity, whose weights are
+    summed once for all bcs."""
+    ks = np.arange(first, R)
+    totals = np.zeros(len(bcs))
     for side in (1, -1):
-        far = (np.sign(ys) == side) & ~near
-        ref = [bc.spin_at(site(side * (E + 1 + ((E + 1 + p) % 2)))) for p in (0, 1)]
-        out[far] = np.where(ys[far] % 2 == 0, ref[0], ref[1])
-    return out
+        w = np.abs(side * ks - x) ** -alpha
+        near = ks[:E + 1 - first].tolist()
+        totals += np.array([[bc.spin_at(site(side * k)) for k in near] for bc in bcs]) \
+            @ w[:len(near)]
+        for j in (0, 1):        # w[E + 1 - first + j::2]: the |y| = E + 1 + j, E + 3 + j, ...
+            totals += np.array([bc.spin_at(site(side * (E + 1 + j))) for bc in bcs]) \
+                * w[E + 1 - first + j::2].sum()
+    return totals
 
 
 @pytest.mark.parametrize("kind, alpha", [("frozen_interval", 2.6), ("left_neighborhood", 2.6),
@@ -246,11 +252,9 @@ def test_boundary_field_near_zone_brute(kind, alpha):
           "pattern_plus": m.plus_bc().with_pattern({4: -1, -6: -1, 9: -1}),
           "pattern_alternating": m.alternating_bc().with_pattern({5: 1, -4: 1, 9: -1})}[kind]
     R = 2_000_000                      # truncation below 2e-10 at alpha = 2.6
-    ys = np.concatenate([np.arange(4, R), -np.arange(4, R)])
-    spins = _exterior_spins(bc, lambda y: y, ys)
     h = m.boundary_field_vector(vol, m.PowerLaw(1.0, alpha), bc)
     for x in vol.sites():
-        brute = float(np.sum(spins * np.abs(ys - x) ** -alpha))
+        brute = float(_ray_brute([bc], lambda y: y, x, alpha, 4, R)[0])
         assert m.boundary_field(vol, m.PowerLaw(1.0, alpha), bc, x) == h[vol.index(x)]
         assert h[vol.index(x)] == pytest.approx(brute, abs=1e-9)
 
@@ -276,13 +280,12 @@ def test_boundary_field_2d_isotropic_brute():
     ring_bound = 8.0 * R ** (2 - alpha) / (alpha - 2)
     for x in [(0, 0), (2, -1), (-2, 2)]:
         got = m.boundary_field(vol, m.PowerLaw(1.0, alpha), bc, x)
-        brute = 0.0
-        for y1 in range(x[0] - R, x[0] + R + 1):
-            for y2 in range(x[1] - R, x[1] + R + 1):
-                if vol.contains((y1, y2)):
-                    continue
-                s = bc.spin_at((y1, y2))
-                brute += s * math.hypot(y1 - x[0], y2 - x[1]) ** -alpha
+        y1, y2 = np.arange(x[0] - R, x[0] + R + 1), np.arange(x[1] - R, x[1] + R + 1)
+        # half-plane rules only: one spin per row
+        spins = np.array([bc.spin_at((x[0], y)) for y in y2.tolist()], dtype=np.float64)
+        d = np.hypot((y1 - x[0])[:, None], (y2 - x[1])[None, :])
+        d[(np.abs(y1) <= vol.half_width)[:, None] & (np.abs(y2) <= vol.half_width)] = np.inf
+        brute = float(np.sum(d ** -alpha * spins))
         assert abs(got - brute) < ring_bound + 1e-12
 
 
@@ -304,22 +307,21 @@ def test_half_row_sums_do_not_depend_on_the_batch(alpha):
         m._half_row_sums(alpha, ds, 0)
 
 
-def _isotropic_site_field(vol, spec, bc, x, y_bound, tails):
+def _isotropic_site_field(vol, spec, bc, x, ray):
     """Per-site reference for _isotropic_field: the same row sums added in
-    the same order; `tails` are the (up, down) asymptotic tails at x2."""
+    the same order; `ray` is the column ray of Poisson leading terms at x."""
     L, (x1, x2), a = vol.half_width, x, spec.alpha
+    c, D = m._row_leading_term(a)
     total = 0.0
-    for y2 in range(-y_bound, y_bound + 1):
+    for y2 in range(1 - L - D, L + D):
         s, d = bc.row_sign(y2), abs(y2 - x2)
         if s and abs(y2) <= L:
             total += s * (m._half_row_sum(a, d, L + 1 - x1, m.EM_CROSSOVER)
                           + m._half_row_sum(a, d, L + 1 + x1, m.EM_CROSSOVER))
         elif s:
-            total += s * m._full_row_sum(a, d, m.EM_CROSSOVER)
-    c = m._row_asymptotic_coeff(a)
-    for s, tail in zip((bc.row_sign(y_bound + 1), bc.row_sign(-y_bound - 1)), tails):
-        if s:
-            total += s * c * tail
+            total += s * (m._full_row_sum(a, d, m.EM_CROSSOVER) - c * float(m._power(d, a - 1.0))
+                          if d < D else 0.0)
+    total += c * ray
     total *= spec.strength if isinstance(spec, m.PowerLaw) else 1.0
     for site, val in bc.pattern_sites():
         if not vol.contains(site) and val != bc.row_sign(site[1]):
@@ -330,21 +332,113 @@ def _isotropic_site_field(vol, spec, bc, x, y_bound, tails):
 @pytest.mark.parametrize("spec", [m.PowerLaw(0.7, 2.5), m.IsotropicMixed(2.0, 3.0)])
 def test_isotropic_field_matches_per_site_sum(spec):
     # the whole-array builder adds each site's terms in the per-site order
-    # (volume, boundary, largest |half-plane boundary|)
-    for vol, bc, bmax in [(m.Volume(2, 2), m.plus_bc(), 0),
-                          (m.Volume(2, 3), m.dobrushin2d_bc(5), 5),
-                          (m.Volume(2, 2), m.plus_bc().with_pattern({(0, 4): -1, (-3, 1): -1}), 0),
-                          (m.Volume(2, 1), m.pattern_bc({(0, 2): 1}), 0)]:
-        L = vol.half_width
-        y_bound = max(L, bmax) + m.ROW_ASYMPTOTIC_DISTANCE + L
-        cs = np.arange(-L, L + 1)
-        tails = (m.hurwitz_tail(spec.alpha - 1.0, 0.0, y_bound - cs),
-                 m.hurwitz_tail(spec.alpha - 1.0, 0.0, y_bound + cs))
+    for vol, bc in [(m.Volume(2, 2), m.plus_bc()),
+                    (m.Volume(2, 3), m.dobrushin2d_bc(5)),
+                    (m.Volume(2, 2), m.plus_bc().with_pattern({(0, 4): -1, (-3, 1): -1})),
+                    (m.Volume(2, 1), m.pattern_bc({(0, 2): 1}))]:
+        regions = m.BoundaryCondition(tuple(r for r in bc.rules if isinstance(r, m.RegionRule)))
+        ray = m._ray_field(vol, regions, spec.alpha - 1.0, 1, m.EM_CROSSOVER).ravel()
         h = m._isotropic_field(vol, spec, bc, m.EM_CROSSOVER).ravel()
         for i, x in enumerate(vol.sites()):
-            want = _isotropic_site_field(vol, spec, bc, x, y_bound,
-                                         (tails[0][x[1] + L], tails[1][x[1] + L]))
-            assert h[i] == want
+            assert h[i] == _isotropic_site_field(vol, spec, bc, x, ray[i])
+
+
+def _mpmath_row_sums(mpmath, alpha):
+    """(full, half, zeta) at exponent alpha in mpmath: full(d) is the whole
+    row at distance d >= 1 as (Poisson leading term, Bessel part); half(d,
+    start) = Sum_{k >= start} (k^2 + d^2)^(-alpha/2); zeta is Hurwitz's."""
+    a = mpmath.mpf(alpha)
+    nu = (a - 1) / 2
+    c = mpmath.sqrt(mpmath.pi) * mpmath.gamma(nu) / mpmath.gamma(a / 2)
+    amp = 4 * mpmath.pi ** (a / 2) / mpmath.gamma(a / 2)
+
+    @functools.lru_cache(maxsize=None)
+    def full(d):        # k up to 40 / d + 1: the omitted terms are below e^(-250)
+        bessel = amp * mpmath.mpf(d) ** -nu * mpmath.fsum(
+            k ** nu * mpmath.besselk(nu, 2 * mpmath.pi * k * d) for k in range(1, 40 // d + 2))
+        return c * mpmath.mpf(d) ** (1 - a), bessel
+
+    @functools.lru_cache(maxsize=None)
+    def half(d, start):
+        if d == 0:
+            return mpmath.zeta(a, start)
+        head = mpmath.fsum((k * k + d * d) ** (-a / 2) for k in range(1, start))
+        return (sum(full(d)) - mpmath.mpf(d) ** -a) / 2 - head
+
+    return full, half, functools.lru_cache(maxsize=None)(lambda s, q: mpmath.zeta(s, q))
+
+
+def _mpmath_isotropic_field(mpmath, vol, spec, bc, row_sums):
+    """h over the volume in mpmath: exact half rows for the rows crossing the
+    volume; beyond, each row's Poisson leading term, summed per run of equal
+    row signs as a difference of Hurwitz zetas, plus its Bessel part out to
+    distance 40 (beyond it, below e^(-250) of the leading term)."""
+    L, a = vol.half_width, spec.alpha
+    full, half, zeta = row_sums
+    c = full(1)[0]
+    W = max(L, bc.finite_extent())
+    h = {}
+    for x1, x2 in vol.sites():
+        total = mpmath.fsum(bc.row_sign(y2) * (half(abs(y2 - x2), L + 1 - x1)
+                                               + half(abs(y2 - x2), L + 1 + x1))
+                            for y2 in range(-L, L + 1))
+        for side in (1, -1):
+            # rows side * t for t > L, at distance t - side * x2
+            t0, s0 = L + 1, bc.row_sign(side * (L + 1))
+            for t in range(L + 2, W + 3):
+                s = bc.row_sign(side * t) if t <= W + 1 else None
+                if s != s0:
+                    upper = zeta(a - 1, t - side * x2) if s is not None else 0
+                    total += s0 * c * (zeta(a - 1, t0 - side * x2) - upper)
+                    t0, s0 = t, s
+            total += mpmath.fsum(bc.row_sign(side * t) * full(t - side * x2)[1]
+                                 for t in range(L + 1, 41 + L) if t - side * x2 <= 40)
+        h[(x1, x2)] = spec.strength * total
+    return np.array([float(h[x]) for x in vol.sites()])
+
+
+@pytest.mark.parametrize("alpha", (2.05, 2.5, 3.0, 6.0, 9.5))
+def test_isotropic_field_vectors_match_mpmath(alpha):
+    # whole vectors, far rows included, to 1e-14 of each vector's maximum
+    mpmath = pytest.importorskip("mpmath")
+    spec = m.PowerLaw(0.7, alpha)
+    with mpmath.workdps(30):
+        row_sums = _mpmath_row_sums(mpmath, alpha)
+        for L in (1, 2, 5):
+            vol = m.Volume(2, L)
+            for bc in (m.plus_bc(), m.dobrushin2d_bc(0), m.dobrushin2d_bc(3),
+                       m.dobrushin2d_bc(40), m.dobrushin2d_bc(700)):
+                want = _mpmath_isotropic_field(mpmath, vol, spec, bc, row_sums)
+                got = m.boundary_field_vector(vol, spec, bc)
+                err = np.abs(got - want).max() / np.abs(want).max()
+                assert err <= 1e-14, (L, bc.name, err)
+
+
+def test_poisson_row_rest_below_2_53_at_D_mpmath():
+    # the whole Bessel part at D(alpha), not only its first term, is below
+    # 2^-53 of the leading term; one row closer it is not
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for alpha in np.linspace(2.05, 14.0, 24).tolist():
+            full, _, _ = _mpmath_row_sums(mpmath, alpha)
+            D = m._row_leading_term(alpha)[1]
+            lead, bessel = full(D)
+            assert bessel <= 2.0 ** -53 * lead, (alpha, D)
+            lead, bessel = full(D - 1)
+            assert bessel > 2.0 ** -53 * lead, (alpha, D)
+
+
+def test_boundary_field_2d_isotropic_large_alpha():
+    # D(alpha) is searched in logs: its powers underflow from alpha ~ 250 on
+    vol, bc, R = m.Volume(2, 1), m.dobrushin2d_bc(2), 8
+    ys = [(y1, y2) for y1 in range(-R, R + 1) for y2 in range(-R, R + 1)
+          if not vol.contains((y1, y2))]
+    for alpha in (50.0, 300.0):
+        h = m.boundary_field_vector(vol, m.PowerLaw(1.0, alpha), bc)
+        for i, x in enumerate(vol.sites()):      # sites beyond the box add < 7^-48
+            brute = sum(bc.spin_at(y) * math.hypot(y[0] - x[0], y[1] - x[1]) ** -alpha
+                        for y in ys)
+            assert abs(h[i] - brute) < 1e-15
 
 
 def test_boundary_field_2d_axes_brute():
@@ -352,20 +446,17 @@ def test_boundary_field_2d_axes_brute():
     spec = m.AnisotropicAxes(1.5, 2.5)
     R = 2_000_000
     trunc = 5.0 * R ** -0.5          # two horizontal rays each drop ~2 R^-0.5
-    ys = np.concatenate([np.arange(3, R), -np.arange(3, R)])
     # height 4 puts rows 3 and 4 in the near zone of the vertical rays
     # pattern sites in the near zones (pinned extent 6) of the rows 1, -2, 0
     # and the columns 2, -1, 0 of the target sites; (3, 3) is on none of them
     patterned = m.dobrushin2d_bc(1).with_pattern(
         {(4, 1): -1, (-5, -2): 1, (3, 0): 1, (2, 6): -1, (-1, -3): 1, (0, 3): -1, (3, 3): -1})
+    bcs = (m.dobrushin2d_bc(0), m.dobrushin2d_bc(1), m.dobrushin2d_bc(4), patterned)
     for x in [(0, 0), (2, 1), (-1, -2), (1, 2)]:
-        w_horiz, w_vert = np.abs(ys - x[0]) ** -1.5, np.abs(ys - x[1]) ** -2.5
-        for bc in (m.dobrushin2d_bc(0), m.dobrushin2d_bc(1), m.dobrushin2d_bc(4), patterned):
-            got = m.boundary_field(vol, spec, bc, x)
-            horiz = _exterior_spins(bc, lambda y: (y, x[1]), ys)
-            vert = _exterior_spins(bc, lambda y: (x[0], y), ys)
-            brute = float(np.sum(horiz * w_horiz) + np.sum(vert * w_vert))
-            assert abs(got - brute) < trunc
+        brute = _ray_brute(bcs, lambda y: (y, x[1]), x[0], 1.5, 3, R) \
+            + _ray_brute(bcs, lambda y: (x[0], y), x[1], 2.5, 3, R)
+        for bc, want in zip(bcs, brute.tolist()):
+            assert abs(m.boundary_field(vol, spec, bc, x) - want) < trunc
 
 
 def test_boundary_field_requires_interior_site():

@@ -262,8 +262,8 @@ def emit_csv(path: str, rows: list) -> None:
         for row in rows:
             cells = []
             for k in keys:
-                v = row.get(k, "")
-                cells.append(format_float(v) if isinstance(v, float) else str(v))
+                v = row.get(k)           # None: missing, or a null Z
+                cells.append("" if v is None else format_float(v) if isinstance(v, float) else str(v))
             fh.write(",".join(cells) + "\n")
 
 
@@ -290,8 +290,10 @@ def _point(args):
     obs = exact.spin_observable(vol, 0 if vol.dimension == 1 else (0, 0))
     if sub == "enumerate":
         logZ = model.log_partition(vol, params, p.bc)
+        with np.errstate(over="ignore"):
+            Z = float(np.exp(logZ))
         return {"L": vol.half_width, "beta": params.beta, "log_Z": logZ,
-                "Z": float(np.exp(logZ)),
+                "Z": Z if Z < np.inf else None,     # null past the largest double
                 "mean_spin_origin": exact.expectation(vol, params, p.bc, obs)}
     est = mcmc.combine_estimates(mcmc.replicas(   # p.sampler: n_sweeps, burn_in, rule
         vol, params, p.bc, p.seed, probes.MCMC_REPLICAS,

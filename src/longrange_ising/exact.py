@@ -4,20 +4,21 @@ Ground truth for everything else: partition functions, expectations,
 conditional laws, the interface-point distribution, consistency checks of
 the finite-volume kernels, and correlation-inequality oracles.
 
-Enumeration splits the free sites into three blocks (model._split_sums):
-the weights factor into three block-pair matrices, so log Z and the site
-and pair moments come from matrix products, and other observables fold over
-tiles of configuration probabilities, products of the same matrices, in
-enumeration order.  The interface law folds each tile with one bincount
-through a cached per-L table of interface grid indices
-(_interface_index_table), since the interface point of a configuration does
-not depend on the couplings or beta; other observables rebuild their rows
-from the tile's first index (util.spin_rows).  Peak memory does not grow
-with 2**n; the cap stays at 24 free sites, which puts the interface law in
-reach up to L = 11.  The DLR check streams blocks of outer
-configurations against every subvolume configuration and compares them with
-the brute-force quadratic form (_ReducedSystem.log_weights) block by block,
-so it keeps no array over all 2**n configurations either.
+Every entry point reads the free sites' quadratic form (model._reduce, as
+log Z and the sampler do), and enumeration splits those sites into three
+blocks (model._split_sums): the weights factor into three block-pair
+matrices, so log Z and the site and pair moments come from matrix products,
+and other observables fold over tiles of configuration probabilities,
+products of the same matrices, in enumeration order.  The interface law
+folds each tile with one bincount through a cached per-L table of interface
+grid indices (_interface_index_table), since the interface point of a
+configuration does not depend on the couplings or beta; other observables
+rebuild their rows from the tile's first index (util.spin_rows).  Peak
+memory does not grow with 2**n; the cap stays at 24 free sites, which puts
+the interface law in reach up to L = 11.  The DLR check streams blocks of
+outer configurations against every subvolume configuration and compares
+them with the brute-force quadratic form (model._ReducedSystem.log_weights)
+block by block, so it keeps no array over all 2**n configurations either.
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import contours, model
-from .util import (CapacityError, ENUMERATION_SITE_CAP, byte_lru_cache, iter_spin_blocks,
-                   spin_rows)
-
-#: Bytes of one block of free-site coupling rows in _reduce (two rows at
-#: 4096 sites), so the broadcast behind it and its masks stay small.
-ROW_BLOCK_BYTES = 64 << 10
+from .util import byte_lru_cache, iter_spin_blocks, spin_rows
 
 #: Byte budget of the cached interface index tables (one int8 entry per
 #: configuration: 8 MiB at L = 11).
@@ -99,56 +95,7 @@ def increasing_observable(vol: model.Volume, weights, threshold: float = None) -
 
 
 # ---------------------------------------------------------------------------
-# enumeration core
-
-
-@dataclass
-class _ReducedSystem:
-    """Quadratic form over the free sites after freezing a partial pattern."""
-
-    free_sites: list
-    free_idx: np.ndarray  # volume indices of the free sites
-    template: np.ndarray  # int8 spins: the frozen ones, zero on free sites
-    J_ff: np.ndarray      # free-free couplings
-    c_f: np.ndarray       # field on free sites: frozen spins + boundary + external
-    beta: float
-
-    @property
-    def n_free(self) -> int:
-        return len(self.free_sites)
-
-    def sums(self, second: bool = False, fold=None) -> model.SplitSums:
-        return model._split_sums(self.J_ff, self.c_f, self.beta, second, fold)
-
-    def log_weights(self, S: np.ndarray) -> np.ndarray:
-        """Brute-force log weights of explicit rows (the kernel's test oracle)."""
-        Sf = S.astype(np.float64)
-        E = -0.5 * np.einsum("bi,bi->b", Sf @ self.J_ff, Sf) - Sf @ self.c_f
-        return -self.beta * E
-
-
-def _reduce(vol: model.Volume, params: model.ModelParams, bc: model.BoundaryCondition,
-            frozen: Mapping = None) -> _ReducedSystem:
-    """The free sites' quadratic form given `frozen`.  Coupling rows of the
-    free sites are built in blocks of about ROW_BLOCK_BYTES."""
-    frozen_idx, spins = model.check_frozen(vol, frozen)
-    template = np.zeros(vol.n_sites, dtype=np.int8)
-    template[frozen_idx] = spins
-    free_idx = np.flatnonzero(template == 0)
-    if free_idx.size > ENUMERATION_SITE_CAP:
-        raise CapacityError(f"{free_idx.size} free sites exceed the enumeration cap")
-    c_f = model.site_fields(vol, params, bc)[free_idx]
-    free_sites = [vol.site(i) for i in free_idx.tolist()]
-    # column-major, the layout of a column gather rows[:, free_idx], which
-    # the enumeration's products round with
-    J_ff = np.empty((free_idx.size, free_idx.size), order="F")
-    step = max(1, ROW_BLOCK_BYTES // (8 * vol.n_sites))
-    for i in range(0, free_idx.size, step):
-        rows = model.coupling_rows(vol, params.coupling, free_sites[i:i + step])
-        J_ff[i:i + step] = rows[:, free_idx]
-        if frozen_idx.size:
-            c_f[i:i + step] += rows[:, frozen_idx] @ spins
-    return _ReducedSystem(free_sites, free_idx, template, J_ff, c_f, params.beta)
+# expectations
 
 
 def expectation(vol: model.Volume, params: model.ModelParams,
@@ -160,7 +107,7 @@ def conditional_expectation(vol: model.Volume, params: model.ModelParams,
                             bc: model.BoundaryCondition, frozen: Mapping,
                             obs: Observable) -> float:
     """Gibbs expectation restricted to configurations matching `frozen`."""
-    sys = _reduce(vol, params, bc, frozen)
+    sys = model._reduce(vol, params, bc, frozen)
     free_idx, template = sys.free_idx, sys.template
 
     if obs.weights is None and obs.pair is None:
@@ -184,7 +131,7 @@ def conditional_expectation(vol: model.Volume, params: model.ModelParams,
 def conditional_site_means(vol: model.Volume, params: model.ModelParams,
                            bc: model.BoundaryCondition, frozen: Mapping = None) -> dict:
     """Exact <sigma_x> for every free site, one enumeration pass."""
-    sys = _reduce(vol, params, bc, frozen)
+    sys = model._reduce(vol, params, bc, frozen)
     means = sys.sums().mean
     return {site: float(means[i]) for i, site in enumerate(sys.free_sites)}
 
@@ -222,18 +169,15 @@ def interface_distribution(vol: model.Volume, params: model.ModelParams,
     if vol.dimension != 1 or vol.half_width < 1:
         raise ValueError("interface law needs a 1d volume with L >= 1")
     contours._check_split(vol, bc)
-    n = vol.n_sites
-    if n > ENUMERATION_SITE_CAP:
-        raise CapacityError(f"{n} sites exceed the enumeration cap")
-    L = vol.half_width
-    grid = theta_grid(L)
+    sys = model._reduce(vol, params, bc)     # raises CapacityError past the enumeration cap
+    L, n = vol.half_width, vol.n_sites
     table = _interface_index_table(L)
 
     def fold(start, p):
         return np.bincount(table[start:start + p.size], weights=p, minlength=n + 1)
 
-    masses = _reduce(vol, params, bc, {}).sums(fold=fold).folded
-    return InterfaceLaw(tuple(grid), tuple(float(v) for v in masses))
+    masses = sys.sums(fold=fold).folded
+    return InterfaceLaw(tuple(theta_grid(L)), tuple(float(v) for v in masses))
 
 
 @byte_lru_cache(INTERFACE_TABLE_BYTES)
@@ -273,14 +217,14 @@ def dlr_consistency_check(vol: model.Volume, subvol: model.Volume,
     subvol is vol.
 
     What it tests is the two-block tile algebra against log_weights, no
-    more.  Both sides read the same c_f (coupling matrix and cached field
-    vector), and the residual T * rowsum(p) - p scales with exp(-log Z) on
+    more.  Both sides and log Z read one reduced system (model._reduce),
+    and the residual T * rowsum(p) - p scales with exp(-log Z) on
     both terms, so a wrong log Z, field or enumeration kernel moves both
     sides alike: each such fault leaves the residual far below 1e-10.
     """
     if subvol.dimension != vol.dimension or subvol.half_width > vol.half_width:
         raise ValueError("subvolume must sit inside the volume")
-    sys = _reduce(vol, params, bc)     # raises CapacityError past the enumeration cap
+    sys = model._reduce(vol, params, bc)     # raises CapacityError past the enumeration cap
     n = vol.n_sites
     inside = np.array([subvol.contains(s) for s in vol.sites()], dtype=bool)
     inner, outer = np.flatnonzero(inside), np.flatnonzero(~inside)
@@ -338,7 +282,7 @@ def gks_check(vol: model.Volume, params: model.ModelParams,
               bc: model.BoundaryCondition, pairs: Sequence) -> float:
     """Min slack of the Griffiths inequalities <ss> - <s><s> >= 0, <s> >= 0."""
     _assert_nonnegative_environment(params, bc)
-    sums = _reduce(vol, params, bc).sums(second=True)
+    sums = model._reduce(vol, params, bc).sums(second=True)
     mean = sums.mean
     slack = min(mean)
     for x, y in pairs:

@@ -1,15 +1,18 @@
 """Single-spin Metropolis and heat-bath samplers for long-range couplings.
 
-The sampler reads the shared coupling table (`model.coupling_matrix`) and
-the boundary fields once and caches every site's local field h.  A sweep
-visits the free sites in index order, as a sequential single-site sweep
-does.  `run(state, n_sweeps, rule, record)` is the one loop that advances
-a chain: it draws the uniforms of many sweeps with one call and maps each
-to a threshold t, so that the site with spin s changes iff s*h < t.  On
-Philox, drawing a + b uniforms at once gives the same numbers as drawing
-a and then b, so batching leaves every stream as it is.  Uniforms, and the
-configurations that `record` returns after each sweep, are taken in chunks
-of at most `_CHUNK_BYTES`.  Two inner scans apply the thresholds:
+A chain runs over the free sites of one reduced system (`model._reduce`,
+shared by the chains of a replica set): the frozen spins sit in the free
+sites' field c_f, and only the free-free couplings J_ff remain.  The
+sampler caches every free site's local field h.  A sweep visits the free
+sites in index order, as a sequential single-site sweep does.
+`run(state, n_sweeps, rule, record)` is the one loop that advances a
+chain: it draws the uniforms of many sweeps with one call and maps each to
+a threshold t, so that the site with spin s changes iff s*h < t.  On
+Philox, drawing a + b uniforms at once gives the same numbers as drawing a
+and then b, so batching leaves every stream as it is.  Uniforms, and the
+whole-volume configurations that `record` returns after each sweep, are
+taken in chunks of at most `_CHUNK_BYTES`.  Two inner scans apply the
+thresholds:
 
 - the list scan tests s*h < t site by site on Python lists, free of
   numpy's fixed cost per call;
@@ -22,7 +25,7 @@ of at most `_CHUNK_BYTES`.  Two inner scans apply the thresholds:
   a sweep costs about f + 1 passes a sweep when hot and far fewer than one
   when cold.
 
-Chains of `_LIST_SCAN_SITES` sites or more always run the event scan.
+Chains of `_LIST_SCAN_SITES` free sites or more always run the event scan.
 Smaller ones are walked in blocks of `_BLOCK_SWEEPS` sweeps: a block runs
 the list scan if the previous block flipped more than `_DENSE_FLIPS` of its
 site visits, and the event scan otherwise; the first block of a `run`
@@ -53,7 +56,7 @@ from . import model
 
 _SMALLEST = np.nextafter(0.0, 1.0)
 
-#: Chains of fewer sites choose their scan block by block; larger ones
+#: Chains of fewer free sites choose their scan block by block; larger ones
 #: always run the event scan.
 _LIST_SCAN_SITES = 64
 
@@ -75,68 +78,67 @@ _REPLICA_INITIALS = ("plus", "minus", "random")
 
 @dataclass
 class SamplerState:
-    """Mutable sampler: current spins, cached local fields, seeded RNG.
+    """Mutable sampler over the free sites of one reduced system: spins of
+    the whole volume, cached local fields of the free sites, seeded RNG.
 
-    `flips` counts accepted moves and `max_drift` is the largest gap between
-    the cached and the recomputed energy seen at a `resync`; both are
-    telemetry and stay out of every deterministic payload.
+    `energy` is the free-site form -s.J_ff.s / 2 - c_f.s (`total_energy`),
+    the Hamiltonian less a constant of the frozen spins alone.  `flips`
+    counts accepted moves and `max_drift` is the largest gap between the
+    cached and the recomputed energy seen at a `resync`; both are telemetry
+    and stay out of every deterministic payload.
     """
 
     vol: model.Volume
-    params: model.ModelParams
-    bc: model.BoundaryCondition
+    system: model._ReducedSystem   # shared by a replica set's chains
+    free_index: np.ndarray         # system.free_idx: volume indices of the free sites
     config: np.ndarray
-    couplings: np.ndarray          # shared read-only table, zero diagonal
-    doubled: np.ndarray            # 2 * couplings (exact): a flip's field change
-    static_fields: np.ndarray      # boundary + external field per site
-    fields: np.ndarray             # static + sum_y J_xy sigma_y
+    doubled: np.ndarray            # 2 * J_ff (exact), row-major: a flip's field change
+    fields: np.ndarray             # c_f + J_ff s over the free sites
     energy: float
     rng: np.random.Generator
-    free_index: np.ndarray
     sweeps: int = 0
     flips: int = 0
     max_drift: float = 0.0
 
     def total_energy(self) -> float:
-        """Recomputed Hamiltonian (oracle for the cached value)."""
-        s = self.config.astype(np.float64)
-        return float(-0.5 * s @ (self.couplings @ s) - s @ self.static_fields)
+        """Recomputed free-site form (oracle for the cached value)."""
+        s = self.config[self.free_index].astype(np.float64)
+        return float(-0.5 * s @ (self.system.J_ff.T @ s) - s @ self.system.c_f)
 
     def resync(self) -> None:
-        s = self.config.astype(np.float64)
-        self.fields = self.couplings @ s + self.static_fields
+        s = self.config[self.free_index].astype(np.float64)
+        # J_ff.T is J_ff's row-major view: with nothing frozen, the product
+        # of the whole coupling matrix, bit for bit
+        self.fields = self.system.J_ff.T @ s + self.system.c_f
         energy = self.total_energy()
         self.max_drift = max(self.max_drift, abs(self.energy - energy))
         self.energy = energy
 
 
+#: The last reduction sampler_new built, keyed by volume, model, boundary and
+#: frozen pattern in its order: the one a replica set's chains share.
+_last_reduction = (None, None)
+
+
 def sampler_new(vol: model.Volume, params: model.ModelParams,
                 bc: model.BoundaryCondition, seed: int, initial: str = "plus",
                 frozen: Mapping = None) -> SamplerState:
-    """Build a sampler over the shared coupling table and boundary fields
-    (the table's `model.MATRIX_SITE_CAP` bounds the volume)."""
-    n = vol.n_sites
-    J = model.coupling_matrix(vol, params.coupling)
-    static = model.site_fields(vol, params, bc)
-
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    if initial == "plus":
-        cfg = model.all_plus(vol)
-    elif initial == "minus":
-        cfg = model.all_minus(vol)
-    elif initial == "random":
-        cfg = model.random_configuration(vol, rng)
-    else:
+    """Build a sampler over the free sites of the reduced system, at most
+    `model.MATRIX_SITE_CAP` of them; the frozen sites hold their spins."""
+    global _last_reduction
+    key = (vol, params, bc, tuple(frozen.items()) if frozen else ())
+    if _last_reduction[0] != key:
+        _last_reduction = key, model._reduce(vol, params, bc, frozen, cap=model.MATRIX_SITE_CAP)
+    system = _last_reduction[1]
+    if initial not in _REPLICA_INITIALS:
         raise ValueError("initial must be plus, minus, or random")
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    cfg = model.random_configuration(vol, rng) if initial == "random" else \
+        np.full(vol.n_sites, 1 if initial == "plus" else -1, dtype=np.int8)
+    np.copyto(cfg, system.template, where=system.template != 0)
 
-    frozen_idx, spins = model.check_frozen(vol, frozen)
-    cfg[frozen_idx] = spins
-    free = np.ones(n, dtype=bool)
-    free[frozen_idx] = False
-    free_index = np.flatnonzero(free)
-
-    state = SamplerState(vol, params, bc, cfg, J, 2.0 * J, static,
-                         np.zeros(n), 0.0, rng, free_index)
+    state = SamplerState(vol, system, system.free_idx, cfg, 2.0 * system.J_ff.T,
+                         np.zeros(system.free_idx.size), 0.0, rng)
     state.resync()
     state.max_drift = 0.0          # the first sync fills an empty cache
     return state
@@ -169,12 +171,12 @@ def run(state: SamplerState, n_sweeps: int, rule: str = "metropolis",
         raise ValueError("rule must be metropolis or heat_bath")
     m, n = state.free_index.size, state.config.size
     rows = np.empty((n_sweeps, n), dtype=np.int8) if record else None
-    doubled = state.doubled.tolist() if n < _LIST_SCAN_SITES else None
+    doubled = state.doubled.tolist() if m < _LIST_SCAN_SITES else None
     dense = doubled is not None      # the first block may run the list scan
     step = _chunk_sweeps(n)
     for start in range(0, n_sweeps, step):
         k = min(step, n_sweeps - start)
-        t = _thresholds(state.rng.random(k * m), state.params.beta, rule).reshape(k, m)
+        t = _thresholds(state.rng.random(k * m), state.system.beta, rule).reshape(k, m)
         for b in range(start, start + k, _BLOCK_SWEEPS):
             tb = t[b - start:b - start + _BLOCK_SWEEPS]
             out = None if rows is None else rows[b:b + len(tb)]
@@ -204,27 +206,28 @@ def _list_scan(state: SamplerState, t: np.ndarray, rows, doubled: list) -> None:
     site by site; `doubled` is state.doubled as lists.  A flip does the
     event scan's float operations in its order, so every float comes out
     the same."""
-    free = state.free_index.tolist()
-    cfg = state.config.tolist()
+    free = state.free_index
+    spins = state.config[free].tolist()
     h = state.fields.tolist()
     energy, flips = state.energy, 0
     seen = []
     for tr in t.tolist():
-        for i, ti in zip(free, tr):
-            s = cfg[i]
-            if s * h[i] < ti:
-                energy += 2.0 * s * h[i]
+        for c, tc in enumerate(tr):
+            s = spins[c]
+            if s * h[c] < tc:
+                energy += 2.0 * s * h[c]
                 if s > 0:
-                    h = [a - b for a, b in zip(h, doubled[i])]
+                    h = [a - b for a, b in zip(h, doubled[c])]
                 else:
-                    h = [a + b for a, b in zip(h, doubled[i])]
-                cfg[i] = -s
+                    h = [a + b for a, b in zip(h, doubled[c])]
+                spins[c] = -s
                 flips += 1
         if rows is not None:
-            seen.append(cfg[:])
-    if rows is not None:
-        rows[:] = seen
-    state.config[:] = cfg
+            seen.append(spins[:])
+    if rows is not None:           # the frozen columns, then the free ones
+        rows[:] = state.config
+        rows[:, free] = seen
+    state.config[free] = spins
     state.fields[:] = h
     state.energy = energy
     state.flips += flips
@@ -240,7 +243,7 @@ def _event_scan(state: SamplerState, t: np.ndarray, rows) -> None:
     energy, flips = state.energy, 0
     r = c = done = 0                 # next visit: sweep r, free position c
     while m and r < k:               # m = 0: every site is frozen
-        at = _next_flip(cfg[free] * fields[free], t, r, c)
+        at = _next_flip(cfg[free] * fields, t, r, c)
         if at is None:
             break
         r, c = at
@@ -249,11 +252,11 @@ def _event_scan(state: SamplerState, t: np.ndarray, rows) -> None:
             done = r
         i = free.item(c)
         s = cfg.item(i)
-        energy += 2.0 * s * fields.item(i)
+        energy += 2.0 * s * fields.item(c)
         if s > 0:
-            fields -= doubled[i]
+            fields -= doubled[c]
         else:
-            fields += doubled[i]
+            fields += doubled[c]
         cfg[i] = -s
         flips += 1
         r, c = divmod(r * m + c + 1, m)
@@ -287,11 +290,14 @@ def _next_flip(sh: np.ndarray, t: np.ndarray, r: int, c: int):
 
 
 def flip_probability(state: SamplerState, site, rule: str = "metropolis") -> float:
-    """Single-move transition probability out of the current configuration."""
+    """Probability that the next visit to `site` changes it, from the cached
+    local field (after a `resync`, that of the current configuration): 0 at
+    a frozen site, which no sweep visits."""
     i = state.vol.index(site)
-    h = float(state.couplings[i] @ state.config.astype(np.float64)
-              + state.static_fields[i])
-    x = 2.0 * state.params.beta * state.config[i] * h
+    if state.system.template[i]:
+        return 0.0
+    h = state.fields[np.searchsorted(state.free_index, i)]
+    x = 2.0 * state.system.beta * state.config[i] * h
     if rule == "metropolis":
         return 1.0 if x <= 0.0 else math.exp(-x)
     if x > 0.0:                    # exp(x) would overflow past x = 709
@@ -340,8 +346,8 @@ def _chain(state: SamplerState, read, shape: tuple, n_sweeps: int,
     """Run n_sweeps sweeps; row t - burn_in holds the sample of the
     configuration after sweep t for every t >= burn_in.  read maps a block
     of recorded configurations to its block of samples."""
-    if n_sweeps <= burn_in:
-        raise ValueError("n_sweeps must exceed burn_in")
+    if not 0 <= burn_in < n_sweeps:
+        raise ValueError("burn_in must be >= 0 and below n_sweeps")
     samples = np.empty((n_sweeps - burn_in,) + shape)
     step = _chunk_sweeps(state.config.size)
     t = 0

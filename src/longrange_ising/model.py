@@ -6,7 +6,7 @@ directly enumerated near zone plus analytic tails (Euler-Maclaurin corrected
 Hurwitz-type sums), accurate to better than 1e-10 absolute.  Every unbounded
 tail goes through one ray routine (_ray_field), the exterior rows of 2d
 isotropic couplings too.  site_fields adds the external field to the boundary
-field: the static field every kernel and sampler reads.
+field: the static field that every kernel and sampler reads through _reduce.
 
 All public objects are immutable (frozen dataclasses over hashable fields),
 so derived arrays can be cached and shared freely across workers.
@@ -32,8 +32,13 @@ EM_CROSSOVER = 64
 #: Bytes of one streamed fold tile of the split enumeration (see _split_sums).
 TILE_BYTES = 16 << 20
 
-#: Largest volume for which a dense coupling matrix is materialized.
+#: Largest number of sites in a dense coupling matrix: the whole volume for
+#: coupling_matrix, the free sites of a sampler's reduced system (_reduce).
 MATRIX_SITE_CAP = 4096
+
+#: Bytes of one block of free-site coupling rows in _reduce (two rows at
+#: 4096 sites), so the broadcast behind it and its masks stay small.
+ROW_BLOCK_BYTES = 64 << 10
 
 #: Byte budgets of the caches of coupling matrices (one 4096-site matrix is
 #: 128 MiB) and boundary-field vectors (8 vectors at L = 2048; a beta-ladder
@@ -894,10 +899,6 @@ def all_plus(vol: Volume) -> np.ndarray:
     return np.ones(vol.n_sites, dtype=np.int8)
 
 
-def all_minus(vol: Volume) -> np.ndarray:
-    return -np.ones(vol.n_sites, dtype=np.int8)
-
-
 def random_configuration(vol: Volume, rng: np.random.Generator) -> np.ndarray:
     return (1 - 2 * rng.integers(0, 2, vol.n_sites)).astype(np.int8)
 
@@ -1031,14 +1032,60 @@ def _split_sums(J: np.ndarray, c: np.ndarray, beta: float, second: bool = False,
                      None if fold is None else np.asarray(folded))
 
 
+@dataclass
+class _ReducedSystem:
+    """Quadratic form over the free sites after freezing a partial pattern:
+    H = -s.J_ff.s / 2 - c_f.s over the free spins s, plus a constant of the
+    frozen spins alone."""
+
+    free_sites: list
+    free_idx: np.ndarray  # volume indices of the free sites
+    template: np.ndarray  # int8 spins: the frozen ones, zero on free sites
+    J_ff: np.ndarray      # free-free couplings, column-major
+    c_f: np.ndarray       # field on free sites: frozen spins + boundary + external
+    beta: float
+
+    def sums(self, second: bool = False, fold=None) -> SplitSums:
+        return _split_sums(self.J_ff, self.c_f, self.beta, second, fold)
+
+    def log_weights(self, S: np.ndarray) -> np.ndarray:
+        """Brute-force log weights of explicit rows (the kernel's test oracle)."""
+        Sf = S.astype(np.float64)
+        E = -0.5 * np.einsum("bi,bi->b", Sf @ self.J_ff, Sf) - Sf @ self.c_f
+        return -self.beta * E
+
+
+def _reduce(vol: Volume, params: ModelParams, bc: BoundaryCondition,
+            frozen: Mapping = None, cap: int = ENUMERATION_SITE_CAP) -> _ReducedSystem:
+    """The free sites' quadratic form given `frozen`, which log Z, the exact
+    kernels and the sampler read.  More than `cap` free sites raise
+    CapacityError before any row is built; the rows are built in blocks of
+    about ROW_BLOCK_BYTES."""
+    frozen_idx, spins = check_frozen(vol, frozen)
+    template = np.zeros(vol.n_sites, dtype=np.int8)
+    template[frozen_idx] = spins
+    free_idx = np.flatnonzero(template == 0)
+    if free_idx.size > cap:
+        raise CapacityError(f"{free_idx.size} free sites exceed the {cap}-site cap")
+    c_f = site_fields(vol, params, bc)[free_idx]
+    free_sites = [vol.site(i) for i in free_idx.tolist()]
+    # column-major, the layout of a column gather rows[:, free_idx], which
+    # the enumeration's products round with
+    J_ff = np.empty((free_idx.size, free_idx.size), order="F")
+    step = max(1, ROW_BLOCK_BYTES // (8 * vol.n_sites))
+    for i in range(0, free_idx.size, step):
+        rows = coupling_rows(vol, params.coupling, free_sites[i:i + step])
+        J_ff[i:i + step] = rows[:, free_idx]
+        if frozen_idx.size:
+            c_f[i:i + step] += rows[:, frozen_idx] @ spins
+    return _ReducedSystem(free_sites, free_idx, template, J_ff, c_f, params.beta)
+
+
 @lru_cache(maxsize=256)
 def log_partition(vol: Volume, params: ModelParams, bc: BoundaryCondition) -> float:
-    """log Z over all configurations (split enumeration, see _split_sums)."""
-    n = vol.n_sites
-    if n > ENUMERATION_SITE_CAP:
-        raise CapacityError(f"{n} sites exceed the enumeration cap")
-    J = coupling_matrix(vol, params.coupling)
-    return float(_split_sums(J, site_fields(vol, params, bc), params.beta).log_z)
+    """log Z over all configurations (split enumeration of the reduced
+    system, see _reduce and _split_sums)."""
+    return float(_reduce(vol, params, bc).sums().log_z)
 
 
 def specification_kernel(vol: Volume, params: ModelParams, bc: BoundaryCondition,

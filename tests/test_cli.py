@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,23 @@ def test_enumerate_passthrough():
     })
     record = cli.run_config(cfg)
     assert record["rows"][0]["Z"] == pytest.approx(12.5, rel=1e-12)
+
+
+def test_enumerate_stores_null_for_a_Z_past_the_largest_double(tmp_path):
+    # log Z = 794.6 > log(DBL_MAX) = 709.8; log_Z itself stays exact
+    cfg = {"subcommand": "enumerate",
+           "model": {"dimension": 2, "L": 1, "beta": 1.0,
+                     "coupling": {"family": "power_law", "J": 0.7, "alpha": 2.05}},
+           "bc": {"name": "plus"}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = cli.run_config(cli.validate_config(cfg))["rows"][0]
+    assert row["Z"] is None and row["log_Z"] == pytest.approx(794.6, abs=0.05)
+    assert '"Z":null' in canonical_json(row)
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(cfg))
+    res = run_cli(["run", "--config", str(path)])
+    assert res.returncode == 0 and json.loads(res.stdout)["rows"][0]["Z"] is None
 
 
 def test_probe_decimation_matches_module(tmp_path):

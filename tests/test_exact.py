@@ -10,6 +10,7 @@ import pytest
 
 from longrange_ising import contours as ct
 from longrange_ising import exact as ex
+from longrange_ising import mcmc
 from longrange_ising import model as m
 from longrange_ising import probes
 from longrange_ising.util import CapacityError, iter_spin_blocks
@@ -113,11 +114,11 @@ def test_split_kernel_matches_brute_force(monkeypatch, n_free, L, n_frozen, beta
     frozen = {s: (-1) ** i for i, s in enumerate(spread[:n_frozen])}
     if vol.dimension == 1:
         params = m.ModelParams(beta, m.PowerLaw(1.0, 1.5), field=0.3)
-        sys_ = ex._reduce(vol, params, m.alternating_bc(), frozen)
+        sys_ = m._reduce(vol, params, m.alternating_bc(), frozen)
     else:
         params = m.ModelParams(beta, m.PowerLaw(1.0, 3.5), field=0.3)
-        sys_ = ex._reduce(vol, params, m.dobrushin2d_bc(), frozen)
-    assert sys_.n_free == n_free
+        sys_ = m._reduce(vol, params, m.dobrushin2d_bc(), frozen)
+    assert sys_.free_idx.size == n_free
     S = np.concatenate([b for _, b in iter_spin_blocks(n_free)]).astype(np.float64)
     lw = sys_.log_weights(S)
     log_z = logsumexp(lw)
@@ -134,7 +135,7 @@ def test_split_kernel_refuses_sums_beyond_its_scaling():
     # 2 beta ||J_YW||_1 is about 1.3e4 and the favoured (y, w) pair sits that
     # far below its C row's maximum, so the shifted Z underflows
     vol = m.Volume(1, 8)
-    sys_ = ex._reduce(vol, m.ModelParams(3000.0, m.PowerLaw(1.0, 1.1), field=0.3),
+    sys_ = m._reduce(vol, m.ModelParams(3000.0, m.PowerLaw(1.0, 1.1), field=0.3),
                       m.dobrushin1d_bc(), {})
     with pytest.raises(CapacityError):
         sys_.sums()
@@ -265,11 +266,15 @@ def test_conditional_site_means_match_observables():
 
 def test_conditional_site_means_leave_the_matrix_cache_alone():
     # the reduced system builds its free rows itself: a fresh alpha must not
-    # park a coupling matrix in the cache
+    # park a coupling matrix in the cache, for the exact kernels, log Z or
+    # the sampler
     vol = m.Volume(1, 4)
+    params = m.ModelParams(1.1, m.PowerLaw(1.0, 1.4321))
     info = m.coupling_matrix.cache_info()
-    ex.conditional_site_means(vol, m.ModelParams(1.1, m.PowerLaw(1.0, 1.4321)),
-                              m.dobrushin1d_bc(), {3: -1})
+    ex.conditional_site_means(vol, params, m.dobrushin1d_bc(), {3: -1})
+    m.log_partition(vol, params, m.dobrushin1d_bc())
+    st = mcmc.sampler_new(vol, params, m.dobrushin1d_bc(), seed=0, frozen={3: -1})
+    mcmc.estimate_site_means(st, [0], 200, 20)
     assert m.coupling_matrix.cache_info() == info
 
 
@@ -335,7 +340,7 @@ def test_interface_law_over_many_tiles_matches_brute_force(monkeypatch):
     params = m.ModelParams(1.3, m.PowerLaw(1.0, 1.6), field=0.2)
     law = ex.interface_distribution(vol, params)
     S = np.concatenate([b for _, b in iter_spin_blocks(vol.n_sites)])
-    lw = ex._reduce(vol, params, m.dobrushin1d_bc()).log_weights(S)
+    lw = m._reduce(vol, params, m.dobrushin1d_bc()).log_weights(S)
     p = np.exp(lw - logsumexp(lw))
     brute = {t: 0.0 for t in law.grid}
     for row, w in zip(S, p):

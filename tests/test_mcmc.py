@@ -35,13 +35,46 @@ def test_initial_energy_matches_hamiltonian():
         m.hamiltonian(vol, params, m.dobrushin1d_bc(), m.all_plus(vol)), abs=1e-10)
 
 
+def _wetting_frozen(N: int, vol: m.Volume) -> dict:
+    """The wetting probe's pattern at L = 4: [-N, -1] minus, and plus right
+    of site 13, which leaves 18 free sites."""
+    return {s: -1 if s < 0 else 1 for s in vol.sites() if -N <= s <= -1 or s > 13}
+
+
 def test_capacity_errors():
     params = m.ModelParams(1.0, m.PowerLaw(1.0, 1.5))
     with pytest.raises(CapacityError):
         mcmc.sampler_new(m.Volume(1, 40_000), params, m.plus_bc(), seed=0)
-    # 4097 sites, one over the shared coupling table's cap
+    # 4097 free sites, one over the reduced system's cap
     with pytest.raises(CapacityError):
         mcmc.sampler_new(m.Volume(1, 2048), params, m.plus_bc(), seed=0)
+    # 4105 sites, 18 of them free: the cap counts free sites
+    vol = m.Volume(1, 2052)
+    frozen = _wetting_frozen(2048, vol)
+    st = mcmc.sampler_new(vol, params, m.plus_bc(), seed=0, initial="random", frozen=frozen)
+    assert st.free_index.size == 18 and st.fields.size == 18
+    rows = mcmc.run(st, 50, record=True)
+    assert rows.shape == (50, 4105) and st.flips > 0
+    idx = [vol.index(s) for s in frozen]
+    assert (rows[:, idx] == list(frozen.values())).all()
+
+
+def test_sampler_peak_memory_scales_with_the_free_sites(monkeypatch):
+    # the wetting geometry at N = 2040: 4089 sites, 18 free
+    import tracemalloc
+    vol = m.Volume(1, 2044)
+    params = m.ModelParams(4.0, m.PowerLaw(1.0, 1.6))
+    frozen = _wetting_frozen(2040, vol)
+    monkeypatch.setattr(mcmc, "_last_reduction", (None, None))
+    m.boundary_field_vector.cache_clear()
+    tracemalloc.start()
+    try:
+        st = mcmc.sampler_new(vol, params, m.plus_bc(), seed=0, frozen=frozen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st.free_index.size == 18
+    assert peak <= 4 << 20, peak
 
 
 def test_beta_zero_metropolis_always_accepts():
@@ -78,14 +111,31 @@ def test_detailed_balance_identity():
 def test_energy_drift_after_sweeps():
     vol = m.Volume(1, 4)
     params = m.ModelParams(0.6, m.PowerLaw(1.0, 1.5))
-    st = mcmc.sampler_new(vol, params, m.alternating_bc(), seed=3, initial="random")
-    for _ in range(1000):
-        mcmc.sweep(st)
-    assert abs(st.energy - st.total_energy()) < 1e-6
-    # field cache stays consistent too
-    s = st.config.astype(np.float64)
-    want = st.couplings @ s + st.static_fields
-    assert np.max(np.abs(st.fields - want)) < 1e-8
+    bc = m.alternating_bc()
+    for frozen in (None, {2: 1, -4: -1}):
+        st = mcmc.sampler_new(vol, params, bc, seed=3, initial="random", frozen=frozen)
+        gap = m.hamiltonian(vol, params, bc, st.config) - st.energy
+        for _ in range(1000):
+            mcmc.sweep(st)
+        assert abs(st.energy - st.total_energy()) < 1e-6
+        # the free-site form is H less a constant of the frozen spins alone
+        assert m.hamiltonian(vol, params, bc, st.config) - st.energy == \
+            pytest.approx(gap, abs=1e-9)
+        assert (abs(gap) < 1e-12) == (frozen is None)
+        # the reduced field cache holds the whole volume's local fields
+        s = st.config.astype(np.float64)
+        want = m.coupling_matrix(vol, params.coupling) @ s + m.site_fields(vol, params, bc)
+        assert np.max(np.abs(st.fields - want[st.free_index])) < 1e-8
+
+
+def test_negative_burn_in_is_refused():
+    vol = m.Volume(1, 2)
+    st = mcmc.sampler_new(vol, m.ModelParams(0.5, m.PowerLaw(1.0, 1.5)), m.plus_bc(), seed=1)
+    with pytest.raises(ValueError, match="burn_in"):
+        mcmc.estimate(st, ex.spin_observable(vol, 0), 100, -5)
+    with pytest.raises(ValueError, match="burn_in"):
+        mcmc.estimate_site_means(st, [0], 100, -5)
+    assert st.sweeps == 0
 
 
 def test_constant_observable_estimate():
@@ -295,10 +345,10 @@ def test_estimate_site_means_consistent():
 def _sequential_sweep(state, u, rule):
     """Reference sweep: visit the free sites one at a time in index order
     and change site i iff u < P(s h), read from the same uniforms."""
-    beta = state.params.beta
+    beta = state.system.beta
     for k, i in enumerate(state.free_index):
         s = state.config[i]
-        h = state.fields[i]
+        h = state.fields[k]
         x = 2.0 * beta * s * h
         if rule == "metropolis":
             change = x <= 0.0 or u[k] < math.exp(-x)
@@ -308,7 +358,7 @@ def _sequential_sweep(state, u, rule):
             change = x < 700.0 and u[k] < 1.0 / (1.0 + math.exp(x))
         if change:
             state.energy += 2.0 * s * h
-            state.fields -= (2.0 * s) * state.couplings[i]
+            state.fields -= (2.0 * s) * state.system.J_ff[k]
             state.config[i] = -s
             state.flips += 1
 
@@ -527,10 +577,40 @@ def test_flip_counter_and_resync_drift():
     assert st.energy == st.total_energy()
 
 
-def test_sampler_reads_the_shared_coupling_table():
+def test_replica_set_builds_one_reduction(monkeypatch):
     vol = m.Volume(2, 2)
-    spec = m.AnisotropicAxes(1.5, "nn")
-    st = mcmc.sampler_new(vol, m.ModelParams(1.0, spec), m.plus_bc(), seed=0)
-    assert st.couplings is m.coupling_matrix(vol, spec)
-    rows = np.stack([m.coupling_row(vol, spec, x) for x in vol.sites()])
-    assert np.array_equal(st.couplings, rows)
+    params = m.ModelParams(1.0, m.AnisotropicAxes(1.5, "nn"))
+    built = []
+    reduce = m._reduce
+    monkeypatch.setattr(m, "_reduce", lambda *a, **kw: (built.append(a), reduce(*a, **kw))[1])
+    monkeypatch.setattr(mcmc, "_last_reduction", (None, None))
+    frozen = {(0, 0): -1, (2, 1): 1}
+    states = mcmc.replicas(vol, params, m.plus_bc(), 4, 8, lambda st: st, frozen)
+    assert len(built) == 1
+    assert all(st.system is states[0].system for st in states)
+    assert states[0].free_index.size == vol.n_sites - 2
+    # the rows are the coupling matrix's rows at the free sites
+    J = m.coupling_matrix(vol, params.coupling)
+    free = states[0].free_index
+    assert np.array_equal(states[0].system.J_ff, J[np.ix_(free, free)])
+    # one reduction is kept: after another pattern the first is built anew;
+    # an exact call builds its own and leaves the sampler's in place
+    mcmc.replicas(vol, params, m.plus_bc(), 4, 8, lambda st: st, {(0, 0): 1})
+    assert len(built) == 2
+    mcmc.replicas(vol, params, m.plus_bc(), 4, 8, lambda st: st, frozen)
+    assert len(built) == 3
+    ex.conditional_site_means(vol, params, m.plus_bc(), frozen)
+    assert len(built) == 4
+    mcmc.replicas(vol, params, m.plus_bc(), 4, 8, lambda st: st, frozen)
+    assert len(built) == 4
+
+
+@pytest.mark.parametrize("rule", ["metropolis", "heat_bath"])
+def test_flip_probability_is_zero_at_a_frozen_site(rule):
+    vol = m.Volume(1, 3)
+    params = m.ModelParams(0.0, m.PowerLaw(1.0, 1.5))
+    st = mcmc.sampler_new(vol, params, m.plus_bc(), seed=5, frozen={0: -1})
+    assert mcmc.flip_probability(st, 0, rule) == 0.0
+    assert mcmc.flip_probability(st, 1, rule) == (1.0 if rule == "metropolis" else 0.5)
+    rows = mcmc.run(st, 200, rule, record=True)
+    assert (rows[:, vol.index(0)] == -1).all() and st.flips > 0

@@ -664,14 +664,13 @@ def test_global_flip_symmetry_exhaustive():
 def test_global_flip_symmetry_eleven_sites_vectorized():
     # flipping every spin maps configuration index i to its bit complement,
     # so the flipped-boundary energy array must be the reverse of the original
-    from longrange_ising.exact import _reduce
     from longrange_ising.util import iter_spin_blocks
     vol = m.Volume(1, 5)
     params = m.ModelParams(1.0, m.PowerLaw(1.0, 1.6))
     for bc in (m.plus_bc(), m.dobrushin1d_bc(), m.alternating_bc()):
         energies = {}
         for which, b in (("base", bc), ("flip", bc.flipped())):
-            sys_ = _reduce(vol, params, b, {})
+            sys_ = m._reduce(vol, params, b, {})
             parts = [sys_.log_weights(S) for _, S in iter_spin_blocks(vol.n_sites)]
             energies[which] = -np.concatenate(parts) / params.beta
         assert np.max(np.abs(energies["base"] - energies["flip"][::-1])) < 1e-10

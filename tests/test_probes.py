@@ -201,6 +201,16 @@ def test_wetting_mcmc_agrees_with_exact():
     assert mc.scalars["m_plus_phase"].method == "mcmc"
 
 
+def test_wetting_mcmc_at_n_2048_agrees_with_exact():
+    # the paper's geometry: 18 free sites next to a 2048-site frozen interval,
+    # 4105 sites in all; the chains run over the free sites alone
+    exact_r = probes.wetting_probe(1.6, 4.0, 4, 2048)
+    mc = probes.wetting_probe(1.6, 4.0, 4, 2048, method="mcmc", n_sweeps=2_000, burn_in=400)
+    assert mc.verdicts == exact_r.verdicts
+    for key, s in mc.scalars.items():
+        assert abs(s.value - exact_r.value(key)) <= 4.0 * max(s.stderr, 1e-3), key
+
+
 # ---------------------------------------------------------------------------
 # 2d shift energetics
 

@@ -17,23 +17,24 @@ thresholds:
 - the list scan tests s*h < t site by site on Python lists, free of
   numpy's fixed cost per call;
 - the event scan crosses sweep boundaries.  Between two flips s*h does not
-  change, so one comparison of it against a window of whole threshold rows
-  finds the next flip's (sweep, site), however many sweeps ahead; the
-  sweeps before it are recorded by broadcast, the flip updates the energy
-  and every cached field (one doubled coupling row), and one pass over the
-  rest of that sweep looks for its next flip.  A chain that flips f sites
-  a sweep costs about f + 1 passes a sweep when hot and far fewer than one
-  when cold.
+  change, so one comparison of it against a window of whole threshold rows,
+  from the sweep of the current visit on, and one argmax find the next
+  flip's (sweep, site), however many sweeps ahead; the sweeps before it are
+  recorded by broadcast, and the flip updates the energy and every cached
+  field (one doubled coupling row).  A flip costs one search and one field
+  update, and a cold chain crosses many sweeps in one search.
 
 Chains of `_LIST_SCAN_SITES` free sites or more always run the event scan.
-Smaller ones are walked in blocks of `_BLOCK_SWEEPS` sweeps: a block runs
-the list scan if the previous block flipped more than `_DENSE_FLIPS` of its
-site visits, and the event scan otherwise; the first block of a `run`
-call runs the list scan.  Both scans flip in the same operation order and
-give the same floats, so the choice changes speed alone.  `sweep` is
-run(state, 1, rule).  The RNG is counter-based (Philox) and seeded through
-SeedSequence, so replica streams are reproducible and adding replicas
-never perturbs existing ones.
+Smaller ones are walked in blocks of `_BLOCK_SWEEPS` sweeps.  A block runs
+the list scan if the previous block (for the first block of a `run` call,
+the chain so far) flipped more than `_DENSE_FLIPS` of its site visits.
+Otherwise it starts on the event scan, which finishes the current sweep and
+hands the rest of the block to the list scan once the block's flips exceed
+`_DENSE_FLIPS` of its visits plus m.  Both scans flip in the same operation
+order and give the same floats, so the choice changes speed alone.
+`sweep` is run(state, 1, rule).  The RNG is counter-based (Philox) and
+seeded through SeedSequence, so replica streams are reproducible and
+adding replicas never perturbs existing ones.
 
 `estimate` (one observable) and `estimate_site_means` (many spins from one
 chain) record a chain through `run`, one chunk or resync segment at a
@@ -47,6 +48,7 @@ the results.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -60,9 +62,9 @@ _SMALLEST = np.nextafter(0.0, 1.0)
 #: always run the event scan.
 _LIST_SCAN_SITES = 64
 
-#: Sweeps per block, and the share of a block's site visits that must flip
-#: for the next block to run the list scan (measured: the event scan wins
-#: below about 3 % at 7-63 sites).
+#: Sweeps per block, and the share of site visits past which a block hands
+#: over to the list scan and the next block runs it (measured: the event
+#: scan wins below about 3 % at 7-63 sites).
 _BLOCK_SWEEPS = 128
 _DENSE_FLIPS = 0.03
 
@@ -172,7 +174,7 @@ def run(state: SamplerState, n_sweeps: int, rule: str = "metropolis",
     m, n = state.free_index.size, state.config.size
     rows = np.empty((n_sweeps, n), dtype=np.int8) if record else None
     doubled = state.doubled.tolist() if m < _LIST_SCAN_SITES else None
-    dense = doubled is not None      # the first block may run the list scan
+    dense = doubled is not None and state.flips > _DENSE_FLIPS * state.sweeps * m
     step = _chunk_sweeps(n)
     for start in range(0, n_sweeps, step):
         k = min(step, n_sweeps - start)
@@ -181,10 +183,9 @@ def run(state: SamplerState, n_sweeps: int, rule: str = "metropolis",
             tb = t[b - start:b - start + _BLOCK_SWEEPS]
             out = None if rows is None else rows[b:b + len(tb)]
             flips = state.flips
-            if dense:
-                _list_scan(state, tb, out, doubled)
-            else:
-                _event_scan(state, tb, out)
+            r = 0 if dense else _event_scan(state, tb, out)
+            if r < len(tb):
+                _list_scan(state, tb[r:], None if out is None else out[r:], doubled)
             dense = doubled is not None and state.flips - flips > _DENSE_FLIPS * tb.size
     state.sweeps += n_sweeps
     return rows
@@ -216,10 +217,7 @@ def _list_scan(state: SamplerState, t: np.ndarray, rows, doubled: list) -> None:
             s = spins[c]
             if s * h[c] < tc:
                 energy += 2.0 * s * h[c]
-                if s > 0:
-                    h = [a - b for a, b in zip(h, doubled[c])]
-                else:
-                    h = [a + b for a, b in zip(h, doubled[c])]
+                h = list(map(operator.sub if s > 0 else operator.add, h, doubled[c]))
                 spins[c] = -s
                 flips += 1
         if rows is not None:
@@ -233,20 +231,31 @@ def _list_scan(state: SamplerState, t: np.ndarray, rows, doubled: list) -> None:
     state.flips += flips
 
 
-def _event_scan(state: SamplerState, t: np.ndarray, rows) -> None:
-    """Sweep once per row of thresholds t, from flip to flip (see
-    `_next_flip`).  A flip updates the energy and every cached field (one
-    doubled coupling row); the sweeps between flips are recorded by
-    broadcast."""
+def _event_scan(state: SamplerState, t: np.ndarray, rows) -> int:
+    """Sweep once per row of thresholds t, from flip to flip, and return the
+    number of rows swept.  Between two flips s*h does not change, so one
+    comparison of it against a window of about `_EVENT_WINDOW` thresholds,
+    from the row of the current visit on, finds the next flip however many
+    sweeps ahead.  The sweeps before it are recorded by broadcast; the flip
+    updates the energy and every cached field (one doubled coupling row).
+    A chain of fewer than `_LIST_SCAN_SITES` free sites whose flips exceed
+    `_DENSE_FLIPS` of its visits plus m stops at the end of that sweep."""
     free, cfg, fields, doubled = state.free_index, state.config, state.fields, state.doubled
-    k, m = t.shape
+    m = t.shape[1]
+    spins = cfg[free].astype(np.float64)
+    sh = spins * fields              # s*h, remade in place after each flip
+    w = _EVENT_WINDOW // max(m, 1) + 1           # rows a window spans
+    grace = m if m < _LIST_SCAN_SITES else math.inf
     energy, flips = state.energy, 0
     r = c = done = 0                 # next visit: sweep r, free position c
-    while m and r < k:               # m = 0: every site is frozen
-        at = _next_flip(cfg[free] * fields, t, r, c)
-        if at is None:
-            break
-        r, c = at
+    while m and r < len(t):          # m = 0: every site is frozen
+        hit = (sh < t[r:r + w]).reshape(-1)
+        f = int(hit[c:].argmax()) + c
+        if not hit[f]:
+            r, c = r + len(hit) // m, 0
+            continue
+        skip, c = divmod(f, m)
+        r += skip
         if rows is not None:
             rows[done:r] = cfg
             done = r
@@ -257,36 +266,17 @@ def _event_scan(state: SamplerState, t: np.ndarray, rows) -> None:
             fields -= doubled[c]
         else:
             fields += doubled[c]
-        cfg[i] = -s
+        cfg[i] = spins[c] = -s
+        np.multiply(spins, fields, out=sh)
         flips += 1
+        if flips > _DENSE_FLIPS * (r * m + c + 1) + grace:
+            t = t[:r + 1]            # dense: finish this sweep, then hand over
         r, c = divmod(r * m + c + 1, m)
     if rows is not None:
-        rows[done:] = cfg
+        rows[done:len(t)] = cfg
     state.energy = energy
     state.flips += flips
-
-
-def _next_flip(sh: np.ndarray, t: np.ndarray, r: int, c: int):
-    """(sweep, free position) of the first visit at or after (r, c) with
-    s*h < t, where sh holds s*h of the free sites (fixed until that flip);
-    None if no visit in t flips.  A pass over the rest of sweep r is
-    followed by windows of whole sweeps, about _EVENT_WINDOW thresholds
-    each, so a cold chain finds a flip many sweeps ahead in one pass."""
-    if c:
-        hit = sh[c:] < t[r, c:]
-        j = int(hit.argmax())
-        if hit[j]:
-            return r, c + j
-        r += 1
-    w = max(1, _EVENT_WINDOW // sh.size)
-    while r < len(t):
-        hit = sh < t[r:r + w]
-        f = int(hit.argmax())
-        if hit.flat[f]:
-            skip, c = divmod(f, sh.size)
-            return r + skip, c
-        r += len(hit)
-    return None
+    return len(t)
 
 
 def flip_probability(state: SamplerState, site, rule: str = "metropolis") -> float:

@@ -1,5 +1,6 @@
 """Sampler correctness: determinism, balance, caches, oracle agreement."""
 
+import copy
 import math
 import re
 
@@ -397,31 +398,51 @@ def test_sweep_matches_sequential_loop(setting, rule):
 
 
 def _record_scans(monkeypatch) -> list:
-    """Wrap both scans so that each call appends the scan's name."""
+    """Wrap both scans so that each call appends "e" (event) or "l" (list)
+    and the number of threshold rows it was given, e.g. "e128"."""
     used = []
     for name in ("_list_scan", "_event_scan"):
         scan = getattr(mcmc, name)
         monkeypatch.setattr(mcmc, name, lambda st, t, *rest, scan=scan, name=name:
-                            (used.append(name), scan(st, t, *rest)))
+                            (used.append(f"{name[1]}{len(t)}"), scan(st, t, *rest))[1])
     return used
 
 
 def test_scan_is_picked_by_site_count_and_flip_density(monkeypatch):
     used = _record_scans(monkeypatch)
 
-    def scans(setting, n_blocks):
-        vol, params, bc, frozen = KERNEL_SETTINGS[setting]
-        st = mcmc.sampler_new(vol, params, bc, seed=1, initial="random", frozen=frozen)
+    def scans(st, n_blocks):
         used.clear()
         mcmc.run(st, n_blocks * mcmc._BLOCK_SWEEPS, "metropolis")
-        return used[:]
+        return " ".join(used)
 
-    # 81 sites: the event scan, hot or cold
-    assert scans("hot_wide", 3) == scans("ordered2d_frozen", 3) == ["_event_scan"] * 3
-    # a hot small chain stays on lists; a cold one leaves them after its
-    # first block
-    assert scans("hot", 4) == ["_list_scan"] * 4
-    assert scans("ordered2d", 4) == ["_list_scan"] + ["_event_scan"] * 3
+    def state(setting):
+        vol, params, bc, frozen = KERNEL_SETTINGS[setting]
+        return mcmc.sampler_new(vol, params, bc, seed=1, initial="random", frozen=frozen)
+
+    # 81 sites: the event scan, hot or cold, and never a hand-over
+    assert scans(state("hot_wide"), 3) == scans(state("ordered2d_frozen"), 3) \
+        == "e128 e128 e128"
+    # a cold small chain runs the event scan from its first block on
+    assert scans(state("ordered2d"), 4) == "e128 e128 e128 e128"
+    # a hot one hands its first block over after two sweeps, mid-block, and
+    # the next blocks run the list scan, as does the first block of the
+    # next run call, read from the chain so far
+    hot = state("hot")
+    assert scans(hot, 4) == "e128 l126 l128 l128 l128"
+    assert scans(hot, 1) == "l128"
+
+
+#: The scans of one 30-sweep run in test_run_matches_repeated_sweeps, in
+#: chunks of 4 sweeps.  "list": the first block hands over after one sweep
+#: and every block after it counts as dense.
+RUN_SCANS = {
+    "list": "e4 l3 l4 l4 l4 l4 l4 l4 l2",
+    "numpy": "e4 e4 e4 e4 e4 e4 e4 e2",
+    ("switch", "beta0"): "e3 l1 l1 l3 l1 l3 l1 l3 l1 l3 l1 l3 l1 l3 l1 l2",
+    ("switch", "frozen", "metropolis"): "e3 l1 l1 e3 l1 e3 l1 l1 l3 l1 l3 l1 l3 e1 e3 l1 l2",
+    ("switch", "frozen", "heat_bath"): "e3 l1 l1 e3 l1 l3 l1 e3 l1 l3 l1 e3 e1 e3 l1 l2",
+}
 
 
 RUN_SETTINGS = {
@@ -436,10 +457,10 @@ RUN_SETTINGS = {
 def test_run_matches_repeated_sweeps(setting, rule, scan, monkeypatch):
     vol = m.Volume(1, 3)
     params, bc, frozen = RUN_SETTINGS[setting]
-    if scan == "list":               # every block counts as dense
+    if scan == "list":               # a hand-over at once, then dense blocks
         monkeypatch.setattr(mcmc, "_DENSE_FLIPS", -1.0)
     elif scan == "numpy":            # the event scan throughout, in windows
-        monkeypatch.setattr(mcmc, "_LIST_SCAN_SITES", 0)   # of one or two sweeps
+        monkeypatch.setattr(mcmc, "_LIST_SCAN_SITES", 0)   # of two sweeps
         monkeypatch.setattr(mcmc, "_EVENT_WINDOW", 12)
     else:                            # blocks of 3 sweeps, two to a chunk
         monkeypatch.setattr(mcmc, "_BLOCK_SWEEPS", 3)
@@ -450,12 +471,9 @@ def test_run_matches_repeated_sweeps(setting, rule, scan, monkeypatch):
     used = _record_scans(monkeypatch)
     rows = mcmc.run(batched, K, rule, record=True)
     assert rows.dtype == np.int8 and rows.shape == (K, vol.n_sites)
-    if scan == "switch" and setting == "frozen":
-        seq = " ".join(used)         # both ways round, more than once
-        assert seq.count("_list_scan _event_scan") >= 2
-        assert seq.count("_event_scan _list_scan") >= 2
-    else:
-        assert set(used) == {"_event_scan" if scan == "numpy" else "_list_scan"}
+    want = RUN_SCANS.get(scan) or RUN_SCANS.get((scan, setting)) \
+        or RUN_SCANS[scan, setting, rule]
+    assert " ".join(used) == want
     for row in rows:
         assert mcmc.run(single, 1, rule) is None
         assert np.array_equal(row, single.config)
@@ -465,6 +483,51 @@ def test_run_matches_repeated_sweeps(setting, rule, scan, monkeypatch):
     assert batched.flips == single.flips > 0
     assert batched.sweeps == single.sweeps == K
     assert batched.rng.random() == single.rng.random()
+
+
+def _run_matches_sequential(state, n_sweeps: int, rule: str = "metropolis"):
+    """run(state, n_sweeps, rule, record=True) against as many sequential
+    sweeps of a twin chain: rows, energy, fields and flips, bit for bit."""
+    ref = copy.deepcopy(state)
+    rows = mcmc.run(state, n_sweeps, rule, record=True)
+    for row in rows:
+        _sequential_sweep(ref, ref.rng.random(ref.free_index.size), rule)
+        assert np.array_equal(row, ref.config)
+    assert state.energy == ref.energy
+    assert np.array_equal(state.fields, ref.fields)
+    assert state.flips == ref.flips > 0
+
+
+def test_cold_chain_matches_sequential_sweeps_across_windows(monkeypatch):
+    # criterion-5 setting 0: about 0.09 flips a sweep, so most searches
+    # cross many sweeps, and every block stays on the event scan
+    st = mcmc.sampler_new(m.Volume(1, 3), m.ModelParams(0.5, m.PowerLaw(1.0, 1.5)),
+                          m.plus_bc(), seed=5, initial="plus")
+    used = _record_scans(monkeypatch)
+    _run_matches_sequential(st, 3000)
+    assert set(used) == {"e128", "e56"} and st.flips > 100
+
+
+def test_wide_chain_matches_sequential_sweeps_when_windows_miss():
+    # 81 free sites: windows of a few sweeps, fewer flips than windows, so
+    # some windows find no flip
+    st = mcmc.sampler_new(m.Volume(1, 40), m.ModelParams(1.0, m.PowerLaw(1.0, 1.5)),
+                          m.plus_bc(), seed=5, initial="plus")
+    n_sweeps = 600
+    _run_matches_sequential(st, n_sweeps)
+    m_free = st.free_index.size
+    assert m_free >= mcmc._LIST_SCAN_SITES
+    assert st.flips * (mcmc._EVENT_WINDOW // m_free + 1) < n_sweeps
+
+
+def test_chain_switching_scans_matches_sequential_sweeps(monkeypatch):
+    # 17 free sites near the 3 % switch: the event scan hands a block over
+    # mid-block, and the next block is back on the event scan
+    st = mcmc.sampler_new(m.Volume(1, 8), m.ModelParams(0.7, m.PowerLaw(1.0, 1.5)),
+                          m.free_bc(), seed=0, initial="random")
+    used = _record_scans(monkeypatch)
+    _run_matches_sequential(st, 512)
+    assert " ".join(used) == "e128 l110 e128 l108 l128 l128"
 
 
 def test_chain_is_chunked_without_changing_samples(monkeypatch):

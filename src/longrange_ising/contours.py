@@ -445,10 +445,11 @@ def serialize_configuration(vol: model.Volume, config) -> str:
 
 def parse_configuration(text: str) -> tuple:
     """Inverse of serialize_configuration; malformed text raises ValueError."""
-    pairs = dict(tuple(int(v) for v in line.split(":")) for line in text.strip().splitlines())
+    lines = text.strip().splitlines()
+    pairs = dict(tuple(int(v) for v in line.split(":")) for line in lines)
     vol = model.Volume(1, max(abs(s) for s in pairs))
-    if len(pairs) < vol.n_sites or set(pairs.values()) - {-1, 1}:
-        raise ValueError("configuration needs a spin +1 or -1 at every site -L..L")
+    if not len(lines) == len(pairs) == vol.n_sites or set(pairs.values()) - {-1, 1}:
+        raise ValueError("configuration needs one spin +1 or -1 at each site -L..L")
     return vol, model.as_configuration(vol, [pairs[s] for s in vol.sites()])
 
 

@@ -6,19 +6,20 @@ the finite-volume kernels, and correlation-inequality oracles.
 
 Every entry point reads the free sites' quadratic form (model._reduce, as
 log Z and the sampler do), and enumeration splits those sites into three
-blocks (model._split_sums): the weights factor into three block-pair
+blocks (model.SplitSums): the weights factor into three block-pair
 matrices, so log Z and the site and pair moments come from matrix products,
-and other observables fold over tiles of configuration probabilities,
-products of the same matrices, in enumeration order.  The interface law
-folds each tile with one bincount through a cached per-L table of interface
-grid indices (_interface_index_table), since the interface point of a
-configuration does not depend on the couplings or beta; other observables
-rebuild their rows from the tile's first index (util.spin_rows).  Peak
-memory does not grow with 2**n; the cap stays at 24 free sites, which puts
-the interface law in reach up to L = 11.  The DLR check streams blocks of
-outer configurations against every subvolume configuration and compares
-them with the brute-force quadratic form (model._ReducedSystem.log_weights)
-block by block, so it keeps no array over all 2**n configurations either.
+each computed when a caller first reads it, and other observables fold over
+tiles of configuration probabilities, products of the same matrices, in
+enumeration order.  The interface law folds each tile with one bincount
+through a cached per-L table of interface grid indices
+(_interface_index_table), since the interface point of a configuration does
+not depend on the couplings or beta; other observables rebuild their rows
+from the tile's first index (util.spin_rows).  Peak memory does not grow
+with 2**n; the cap stays at 24 free sites, which puts the interface law in
+reach up to L = 11.  The DLR check streams blocks of outer configurations
+against every subvolume configuration and compares them with the
+brute-force quadratic form (model._ReducedSystem.log_weights) block by
+block, so it keeps no array over all 2**n configurations either.
 """
 
 from __future__ import annotations
@@ -115,9 +116,9 @@ def conditional_expectation(vol: model.Volume, params: model.ModelParams,
             full = np.repeat(template[None, :], p.size, axis=0)
             full[:, free_idx] = spin_rows(free_idx.size, start, start + p.size)
             return obs.evaluate_block(full) @ p
-        return float(sys.sums(fold=fold).folded)
+        return float(sys.sums().fold(fold))
 
-    sums = sys.sums(second=obs.pair is not None)
+    sums = sys.sums()
     mean = template.astype(np.float64)
     mean[free_idx] = sums.mean
     if obs.weights is not None:
@@ -176,7 +177,7 @@ def interface_distribution(vol: model.Volume, params: model.ModelParams,
     def fold(start, p):
         return np.bincount(table[start:start + p.size], weights=p, minlength=n + 1)
 
-    masses = sys.sums(fold=fold).folded
+    masses = sys.sums().fold(fold)
     return InterfaceLaw(tuple(theta_grid(L)), tuple(float(v) for v in masses))
 
 
@@ -282,7 +283,7 @@ def gks_check(vol: model.Volume, params: model.ModelParams,
               bc: model.BoundaryCondition, pairs: Sequence) -> float:
     """Min slack of the Griffiths inequalities <ss> - <s><s> >= 0, <s> >= 0."""
     _assert_nonnegative_environment(params, bc)
-    sums = model._reduce(vol, params, bc).sums(second=True)
+    sums = model._reduce(vol, params, bc).sums()
     mean = sums.mean
     slack = min(mean)
     for x, y in pairs:

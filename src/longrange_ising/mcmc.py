@@ -3,16 +3,17 @@
 A chain runs over the free sites of one reduced system (`model._reduce`,
 shared by the chains of a replica set): the frozen spins sit in the free
 sites' field c_f, and only the free-free couplings J_ff remain.  The
-sampler caches every free site's local field h.  A sweep visits the free
-sites in index order, as a sequential single-site sweep does.
-`run(state, n_sweeps, rule, record)` is the one loop that advances a
-chain: it draws the uniforms of many sweeps with one call and maps each to
-a threshold t, so that the site with spin s changes iff s*h < t.  On
-Philox, drawing a + b uniforms at once gives the same numbers as drawing a
-and then b, so batching leaves every stream as it is.  Uniforms, and the
-whole-volume configurations that `record` returns after each sweep, are
-taken in chunks of at most `_CHUNK_BYTES`.  Two inner scans apply the
-thresholds:
+sampler caches every free site's local field h; a flip changes it by one
+row of the system's read-only table 2 J_ff (`doubled`), built when a chain
+first reads it.  A sweep visits the free sites in index order, as a
+sequential single-site sweep does.  `run(state, n_sweeps, rule, record)`
+is the one loop that advances a chain: it draws the uniforms of many
+sweeps with one call and maps each to a threshold t, so that the site with
+spin s changes iff s*h < t.  On Philox, drawing a + b uniforms at once
+gives the same numbers as drawing a and then b, so batching leaves every
+stream as it is.  Uniforms, and the whole-volume configurations that
+`record` returns after each sweep, are taken in chunks of at most
+`_CHUNK_BYTES`.  Two inner scans apply the thresholds:
 
 - the list scan tests s*h < t site by site on Python lists, free of
   numpy's fixed cost per call;
@@ -94,7 +95,6 @@ class SamplerState:
     system: model._ReducedSystem   # shared by a replica set's chains
     free_index: np.ndarray         # system.free_idx: volume indices of the free sites
     config: np.ndarray
-    doubled: np.ndarray            # 2 * J_ff (exact), row-major: a flip's field change
     fields: np.ndarray             # c_f + J_ff s over the free sites
     energy: float
     rng: np.random.Generator
@@ -139,8 +139,7 @@ def sampler_new(vol: model.Volume, params: model.ModelParams,
         np.full(vol.n_sites, 1 if initial == "plus" else -1, dtype=np.int8)
     np.copyto(cfg, system.template, where=system.template != 0)
 
-    state = SamplerState(vol, system, system.free_idx, cfg, 2.0 * system.J_ff.T,
-                         np.zeros(system.free_idx.size), 0.0, rng)
+    state = SamplerState(vol, system, system.free_idx, cfg, np.zeros(system.free_idx.size), 0.0, rng)
     state.resync()
     state.max_drift = 0.0          # the first sync fills an empty cache
     return state
@@ -173,7 +172,7 @@ def run(state: SamplerState, n_sweeps: int, rule: str = "metropolis",
         raise ValueError("rule must be metropolis or heat_bath")
     m, n = state.free_index.size, state.config.size
     rows = np.empty((n_sweeps, n), dtype=np.int8) if record else None
-    doubled = state.doubled.tolist() if m < _LIST_SCAN_SITES else None
+    doubled = state.system.doubled.tolist() if m < _LIST_SCAN_SITES else None
     dense = doubled is not None and state.flips > _DENSE_FLIPS * state.sweeps * m
     step = _chunk_sweeps(n)
     for start in range(0, n_sweeps, step):
@@ -204,7 +203,7 @@ def _chunk_sweeps(n_sites: int) -> int:
 
 def _list_scan(state: SamplerState, t: np.ndarray, rows, doubled: list) -> None:
     """Sweep once per row of thresholds t on Python lists, testing s*h < t
-    site by site; `doubled` is state.doubled as lists.  A flip does the
+    site by site; `doubled` is state.system.doubled as lists.  A flip does the
     event scan's float operations in its order, so every float comes out
     the same."""
     free = state.free_index
@@ -240,7 +239,7 @@ def _event_scan(state: SamplerState, t: np.ndarray, rows) -> int:
     updates the energy and every cached field (one doubled coupling row).
     A chain of fewer than `_LIST_SCAN_SITES` free sites whose flips exceed
     `_DENSE_FLIPS` of its visits plus m stops at the end of that sweep."""
-    free, cfg, fields, doubled = state.free_index, state.config, state.fields, state.doubled
+    free, cfg, fields, doubled = state.free_index, state.config, state.fields, state.system.doubled
     m = t.shape[1]
     spins = cfg[free].astype(np.float64)
     sh = spins * fields              # s*h, remade in place after each flip

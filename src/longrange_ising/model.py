@@ -9,14 +9,16 @@ isotropic couplings too.  site_fields adds the external field to the boundary
 field: the static field that every kernel and sampler reads through _reduce.
 
 All public objects are immutable (frozen dataclasses over hashable fields),
-so derived arrays can be cached and shared freely across workers.
+so derived arrays can be cached and shared freely across workers.  Tables
+derived from a reduced system are built when first read, as the moments of
+its enumeration kernel (SplitSums) and the sampler's flip table are.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Union
 
 import numpy as np
@@ -29,7 +31,7 @@ Site = Union[int, tuple]
 #: bases are summed directly.
 EM_CROSSOVER = 64
 
-#: Bytes of one streamed fold tile of the split enumeration (see _split_sums).
+#: Bytes of one streamed fold tile of the split enumeration (SplitSums.fold).
 TILE_BYTES = 16 << 20
 
 #: Largest number of sites in a dense coupling matrix: the whole volume for
@@ -931,35 +933,24 @@ def energy_delta(vol: Volume, params: ModelParams, bc: BoundaryCondition,
     return 2.0 * float(s[i]) * local
 
 
-@dataclass(frozen=True)
-class SplitSums:
-    """Boltzmann sums of one split enumeration, all but log Z normalized by Z."""
-
-    log_z: float
-    mean: np.ndarray            # <s_i>
-    second: np.ndarray = None   # <s_i s_j>, when requested
-    folded: np.ndarray = None   # sum of fold(S, p) over the tiles, when a fold is given
-
-
 def _half_table(J: np.ndarray, c: np.ndarray, beta: float, S: np.ndarray) -> tuple:
     """Spin rows as floats, with their log weights beta * (s.J.s / 2 + c.s)."""
     Sf = S.astype(np.float64)
     return Sf, beta * (0.5 * np.einsum("ki,ki->k", Sf @ J, Sf) + Sf @ c)
 
 
-def _split_sums(J: np.ndarray, c: np.ndarray, beta: float, second: bool = False,
-                fold=None) -> SplitSums:
+class SplitSums:
     """Sums over all 2**n spin vectors of w(s) = exp(beta * (s.J.s / 2 + c.s)),
-    J symmetric.
+    J symmetric: log Z when built, the moments over Z when first read.
 
     Three-block split (R. Williams, Theor. Comput. Sci. 348, 357 (2005)):
     contiguous blocks Y (first (n + 1) // 3 sites), X and W (last n // 3),
     so the end blocks Y and W are the most weakly coupled pair.  As the
     couplings are pairwise, w(y, x, w) = A[y, x] B[x, w] C[y, w], with the
     Y-X term and the Y and X weights in A, the X-W term and the W weight in
-    B, the Y-W term in C.  (A @ B) * C, (A.T @ C) * B and, with `second`,
-    (C @ B.T) * A weigh the (y, w), (x, w) and (y, x) pairs.  No exp is
-    taken per configuration; memory is a few 2**(2n/3)-entry matrices
+    B, the Y-W term in C.  (A @ B) * C, (A.T @ C) * B and (C @ B.T) * A weigh
+    the (y, w), (x, w) and (y, x) pairs; log Z needs the first alone.  No exp
+    is taken per configuration; memory is a few 2**(2n/3)-entry matrices
     (512 KiB each at n = 24) plus one fold tile.
 
     Rows are shifted by their maxima before exp, so each row of A @ B peaks
@@ -967,69 +958,73 @@ def _split_sums(J: np.ndarray, c: np.ndarray, beta: float, second: bool = False,
     entries: full precision while 2 beta ||J_YW||_1 < ~700.  Past that only
     frustrated cases lose it, and a Z whose largest term may be subnormal
     raises CapacityError.
-
-    `fold(start, p)`, when given, receives tiles of whole W rows, about
-    TILE_BYTES: the enumeration index `start` of the tile's first
-    configuration (bit b of the index is site b, as in iter_spin_blocks) and
-    the probabilities p of configurations start, start + 1, ..., start +
-    p.size - 1.  It returns an array; `folded` is the sum of those arrays.
-    No configuration tile is built: a fold that needs the spins reads them
-    from its own table or from util.spin_rows.
     """
-    n = c.size
-    Y, X, W = slice(0, (n + 1) // 3), slice((n + 1) // 3, n - n // 3), slice(n - n // 3, n)
-    # X is the largest block; 2**k rows and k columns of its table enumerate
-    # k sites.  S8 stacks the three tables, each row zero off its block.
-    SX8 = np.concatenate([S for _, S in iter_spin_blocks(X.stop - X.start)])
-    kY, kX, kW = (1 << (b.stop - b.start) for b in (Y, X, W))
-    rY, rX, rW = slice(0, kY), slice(kY, kY + kX), slice(kY + kX, kY + kX + kW)
-    S8 = np.zeros((rW.stop, n), dtype=np.int8)
-    for r, b in ((rY, Y), (rX, X), (rW, W)):
-        S8[r, b] = SX8[:r.stop - r.start, :b.stop - b.start]
-    S, lw = _half_table(J, c, beta, S8)
-    SJ = S @ (beta * J)
 
-    def shifted_exp(logM):
-        top = logM.max(axis=1)
-        return np.exp(logM - top[:, None]), top
+    def __init__(self, J: np.ndarray, c: np.ndarray, beta: float):
+        n = c.size
+        Y, X, W = slice(0, (n + 1) // 3), slice((n + 1) // 3, n - n // 3), slice(n - n // 3, n)
+        # X is the largest block; 2**k rows and k columns of its table enumerate
+        # k sites.  S8 stacks the three tables, each row zero off its block.
+        SX8 = np.concatenate([S for _, S in iter_spin_blocks(X.stop - X.start)])
+        kY, kX, kW = (1 << (b.stop - b.start) for b in (Y, X, W))
+        rY, rX, rW = slice(0, kY), slice(kY, kY + kX), slice(kY + kX, kY + kX + kW)
+        S8 = np.zeros((rW.stop, n), dtype=np.int8)
+        for r, b in ((rY, Y), (rX, X), (rW, W)):
+            S8[r, b] = SX8[:r.stop - r.start, :b.stop - b.start]
+        S, lw = _half_table(J, c, beta, S8)
+        SJ = S @ (beta * J)
 
-    B, b_shift = shifted_exp(SJ[rX] @ S[rW].T + lw[rW])
-    A, a_shift = shifted_exp(SJ[rY] @ S[rX].T + (lw[rX] + b_shift) + lw[rY, None])
-    C, c_shift = shifted_exp(SJ[rY] @ S[rW].T)
-    P_YW = (A @ B) * C
-    top = float((a_shift + c_shift).max())
-    f = np.exp(a_shift + c_shift - top)
-    z = float(f @ P_YW.sum(axis=1))
-    if z < 2.0 ** (n - 970):        # the largest of the 2**n terms may be subnormal
-        raise CapacityError("Boltzmann sums beyond the three-block kernel's scaling range")
-    f /= z                          # the probability of (y, x, w) is f_y A B C
-    A *= f[:, None]
-    P_YW *= f[:, None]
-    P_XW = (A.T @ C) * B
-    p_rows = np.concatenate([P_YW.sum(axis=1), P_XW.sum(axis=1), P_YW.sum(axis=0)])
-    mean = p_rows @ S               # p_rows: the marginal of each table row
+        def shifted_exp(logM):
+            top = logM.max(axis=1)
+            return np.exp(logM - top[:, None]), top
 
-    pairs = None
-    if second:
-        pairs = (S.T * p_rows) @ S
-        cross = S[rY].T @ ((C @ B.T) * A) @ S[rX] + S[rY].T @ P_YW @ S[rW] \
-            + S[rX].T @ P_XW @ S[rW]
-        pairs += cross + cross.T
+        B, b_shift = shifted_exp(SJ[rX] @ S[rW].T + lw[rW])
+        A, a_shift = shifted_exp(SJ[rY] @ S[rX].T + (lw[rX] + b_shift) + lw[rY, None])
+        C, c_shift = shifted_exp(SJ[rY] @ S[rW].T)
+        P_YW = (A @ B) * C
+        top = float((a_shift + c_shift).max())
+        f = np.exp(a_shift + c_shift - top)
+        z = float(f @ P_YW.sum(axis=1))
+        if z < 2.0 ** (n - 970):    # the largest of the 2**n terms may be subnormal
+            raise CapacityError("Boltzmann sums beyond the three-block kernel's scaling range")
+        f /= z                      # the probability of (y, x, w) is f_y A B C
+        A *= f[:, None]
+        P_YW *= f[:, None]
+        self.log_z = top + math.log(z)
+        self.S, self.A, self.B, self.C, self.P_YW, self.blocks = S, A, B, C, P_YW, (rY, rX, rW)
 
-    folded = 0.0
-    if fold is not None:
-        # tiles of whole W rows, each with every (x, y): enumeration order;
-        # 8n bytes per configuration beyond its probability leave room for
-        # a fold that builds the tile's spin rows, even as floats
+    @cached_property
+    def _x_marginal(self) -> tuple:    # (x, w) pair weights, table-row marginals
+        P_XW, P_YW = (self.A.T @ self.C) * self.B, self.P_YW
+        return P_XW, np.concatenate([P_YW.sum(axis=1), P_XW.sum(axis=1), P_YW.sum(axis=0)])
+
+    @cached_property
+    def mean(self) -> np.ndarray:      # <s_i>
+        return self._x_marginal[1] @ self.S
+
+    @cached_property
+    def second(self) -> np.ndarray:    # <s_i s_j>
+        (P_XW, p_rows), S, (rY, rX, rW) = self._x_marginal, self.S, self.blocks
+        cross = S[rY].T @ ((self.C @ self.B.T) * self.A) @ S[rX] \
+            + S[rY].T @ self.P_YW @ S[rW] + S[rX].T @ P_XW @ S[rW]
+        return (S.T * p_rows) @ S + (cross + cross.T)
+
+    def fold(self, fn) -> np.ndarray:
+        """Sum of the arrays fn(start, p) over tiles of whole W rows, about
+        TILE_BYTES, p the probabilities of configurations start, start + 1,
+        ... (bit b of an index is site b, as in iter_spin_blocks).  A fold
+        that needs the spins reads them from its own table or util.spin_rows."""
+        A, B, C, n = self.A, self.B, self.C, self.S.shape[1]
+        # 8n spare bytes per configuration leave room for a fold's float spin rows
         rows = max(1, TILE_BYTES // (8 * (n + 1) * A.size))
         At, Ct = np.ascontiguousarray(A.T), np.ascontiguousarray(C.T)
+        folded = 0.0
         for start in range(0, C.shape[1], rows):
             w = slice(start, start + rows)
             p = Ct[w, None, :] * At
             p *= B.T[w, :, None]
-            folded = folded + fold(start * A.size, p.ravel())
-    return SplitSums(top + math.log(z), mean, pairs,
-                     None if fold is None else np.asarray(folded))
+            folded = folded + fn(start * A.size, p.ravel())
+        return np.asarray(folded)
 
 
 @dataclass
@@ -1045,8 +1040,14 @@ class _ReducedSystem:
     c_f: np.ndarray       # field on free sites: frozen spins + boundary + external
     beta: float
 
-    def sums(self, second: bool = False, fold=None) -> SplitSums:
-        return _split_sums(self.J_ff, self.c_f, self.beta, second, fold)
+    def sums(self) -> SplitSums:
+        return SplitSums(self.J_ff, self.c_f, self.beta)
+
+    @cached_property
+    def doubled(self) -> np.ndarray:   # read-only 2 J_ff, row-major: a flip's field change
+        doubled = 2.0 * self.J_ff.T
+        doubled.setflags(write=False)
+        return doubled
 
     def log_weights(self, S: np.ndarray) -> np.ndarray:
         """Brute-force log weights of explicit rows (the kernel's test oracle)."""
@@ -1084,7 +1085,7 @@ def _reduce(vol: Volume, params: ModelParams, bc: BoundaryCondition,
 @lru_cache(maxsize=256)
 def log_partition(vol: Volume, params: ModelParams, bc: BoundaryCondition) -> float:
     """log Z over all configurations (split enumeration of the reduced
-    system, see _reduce and _split_sums)."""
+    system, see _reduce and SplitSums)."""
     return float(_reduce(vol, params, bc).sums().log_z)
 
 

@@ -383,6 +383,13 @@ def test_configuration_round_trip():
     assert np.array_equal(cfg2, cfg)
 
 
+@pytest.mark.parametrize("text", ["-1:+1\n0:+1\n1:+1\n0:-1", "-1:+1\n1:+1", "-1:+1\n0:2\n1:+1"])
+def test_configuration_parse_needs_one_spin_per_site(text):
+    # a site listed twice, a site missing, a spin not +-1
+    with pytest.raises(ValueError, match="one spin"):
+        ct.parse_configuration(text)
+
+
 def test_family_serialization_mentions_children():
     vol = m.Volume(1, 2)
     fam = ct.triangles(vol, [1, -1, 1, -1, 1], m.plus_bc())

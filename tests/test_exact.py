@@ -13,7 +13,7 @@ from longrange_ising import exact as ex
 from longrange_ising import mcmc
 from longrange_ising import model as m
 from longrange_ising import probes
-from longrange_ising.util import CapacityError, iter_spin_blocks
+from longrange_ising.util import CapacityError, iter_spin_blocks, spin_rows
 
 
 def brute_log_partition(vol, params, bc, site_order=None):
@@ -123,11 +123,35 @@ def test_split_kernel_matches_brute_force(monkeypatch, n_free, L, n_frozen, beta
     lw = sys_.log_weights(S)
     log_z = logsumexp(lw)
     p = np.exp(lw - log_z)
-    got = sys_.sums(second=True, fold=lambda start, w: S[start:start + w.size].T @ w)
+    got = sys_.sums()
     assert got.log_z == pytest.approx(log_z, rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(got.mean, S.T @ p, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got.second, (S.T * p) @ S, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(got.folded, S.T @ p, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.fold(lambda start, w: S[start:start + w.size].T @ w),
+                               S.T @ p, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(("mean", "second", "fold"))))
+def test_split_kernel_reads_in_any_order(monkeypatch, order):
+    # the moments are computed when first read and the fold streams the
+    # same matrices: on one kernel, any order of reads gives the bytes of
+    # fresh kernels; log_partition is the kernel's log Z, bit for bit
+    monkeypatch.setattr(m, "TILE_BYTES", 4096)
+    params = m.ModelParams(1.3, m.PowerLaw(1.0, 1.5), field=0.2)
+
+    def read(kernel, what):
+        if what != "fold":
+            return getattr(kernel, what).tobytes()
+        n = kernel.S.shape[1]
+        return kernel.fold(lambda start, p: spin_rows(n, start, start + p.size).T @ p).tobytes()
+
+    for L, bc in ((2, m.plus_bc()), (4, m.dobrushin1d_bc()), (5, m.alternating_bc())):
+        vol = m.Volume(1, L)
+        sys_ = m._reduce(vol, params, bc)
+        kernel = sys_.sums()
+        assert [read(kernel, what) for what in order] \
+            == [read(sys_.sums(), what) for what in order]
+        assert m.log_partition(vol, params, bc) == m.SplitSums(sys_.J_ff, sys_.c_f, sys_.beta).log_z
 
 
 def test_split_kernel_refuses_sums_beyond_its_scaling():

@@ -640,6 +640,26 @@ def test_flip_counter_and_resync_drift():
     assert st.energy == st.total_energy()
 
 
+def test_replica_set_shares_one_flip_table(monkeypatch):
+    # the doubled couplings 2 J_ff (8 MiB at 1023 free sites) belong to the
+    # shared reduction: a second chain allocates far less than the table
+    import tracemalloc
+    vol, params = m.Volume(1, 511), m.ModelParams(0.5, m.PowerLaw(1.0, 1.5))
+    monkeypatch.setattr(mcmc, "_last_reduction", (None, None))
+    first = mcmc.sampler_new(vol, params, m.plus_bc(), seed=1)
+    mcmc.run(first, 1)
+    tracemalloc.start()
+    try:
+        second = mcmc.sampler_new(vol, params, m.plus_bc(), seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    mcmc.run(second, 1)
+    assert second.system.doubled is first.system.doubled
+    assert not first.system.doubled.flags.writeable
+
+
 def test_replica_set_builds_one_reduction(monkeypatch):
     vol = m.Volume(2, 2)
     params = m.ModelParams(1.0, m.AnisotropicAxes(1.5, "nn"))

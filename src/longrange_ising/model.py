@@ -4,9 +4,10 @@ Volumes are centered boxes [-L, L] (1d) or ([-L, L] cap Z)^2 (2d).  Interior
 pair sums count each unordered pair once.  Boundary fields are exact: a
 directly enumerated near zone plus analytic tails (Euler-Maclaurin corrected
 Hurwitz-type sums), accurate to better than 1e-10 absolute.  Every unbounded
-tail goes through one ray routine (_ray_field), the exterior rows of 2d
-isotropic couplings too.  site_fields adds the external field to the boundary
-field: the static field that every kernel and sampler reads through _reduce.
+tail goes through one ray routine (_ray_field), which reads the region rules
+alone; each finite pattern site adds its own coupling row once.  site_fields
+adds the external field to the boundary field: the static field that every
+kernel and sampler reads through _reduce.
 
 All public objects are immutable (frozen dataclasses over hashable fields),
 so derived arrays can be cached and shared freely across workers.  Tables
@@ -577,19 +578,16 @@ class BoundaryCondition:
                 raise ValueError("half-plane rule in a 1d boundary condition")
 
     def finite_extent(self) -> int:
-        """Largest |coordinate| pinned by bounded regions or patterns."""
+        """Largest |coordinate| pinned by bounded regions (not by patterns)."""
         ext = 0
         for rule in self.rules:
-            if isinstance(rule, PatternRule):
-                for s, _ in rule.assignments:
-                    coords = s if isinstance(s, tuple) else (s,)
-                    ext = max(ext, max(abs(c) for c in coords))
-            elif isinstance(rule.region, Interval):
-                for b in (rule.region.lo, rule.region.hi):
+            region = getattr(rule, "region", None)
+            if isinstance(region, Interval):
+                for b in (region.lo, region.hi):
                     if b is not None:
                         ext = max(ext, abs(b))
-            elif isinstance(rule.region, HalfPlane):
-                ext = max(ext, abs(rule.region.boundary))
+            elif isinstance(region, HalfPlane):
+                ext = max(ext, abs(region.boundary))
         return ext
 
     def tail_fill(self, probe: Site):
@@ -701,10 +699,11 @@ def _ray_field(vol: Volume, bc: BoundaryCondition, alpha: float, axis: int,
     """Unit-amplitude ray part of h: Sum_y |y - x|^(-alpha) omega_y over the
     exterior sites y on the line through x along `axis`, in the volume's
     shape.  A 1d chain is one line; in 2d each row (axis 0) or column
-    (axis 1) is one.  On each side the near zone out to the pinned extent W
-    is read once and summed as one power-matrix product over all lines; each
-    line then adds its analytic tail beyond W: a Hurwitz tail for a constant
-    fill, the alternating (Boole) tail for a 1d alternating fill."""
+    (axis 1) is one.  `bc` holds region rules only.  On each side the near
+    zone out to the last bounded region W is read once and summed as one
+    power-matrix product over all lines; each line then adds its analytic
+    tail beyond W: a Hurwitz tail for a constant fill, the alternating
+    (Boole) tail for a 1d alternating fill."""
     L = vol.half_width
     xs = np.arange(-L, L + 1)
     W = max(L, bc.finite_extent())
@@ -734,7 +733,7 @@ def _ray_field(vol: Volume, bc: BoundaryCondition, alpha: float, axis: int,
 def _add_nn_bonds(h: np.ndarray, vol: Volume, bc: BoundaryCondition, strength: float,
                   axes) -> None:
     """h += strength * omega_y for each exterior nearest neighbor y along
-    `axes`; h has shape (side,) * dimension."""
+    `axes`, omega from the region rules `bc`; h has shape (side,) * dimension."""
     L = vol.half_width
     cs = range(-L, L + 1)
     for axis in axes:
@@ -754,7 +753,7 @@ def _isotropic_field(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
     add their Poisson leading terms c_alpha d^(1-alpha) as one ray along the
     columns (_ray_field, exponent alpha - 1), and the exact remainder
     _full_row_sums(d) - c_alpha d^(1-alpha) within D(alpha) of a site.  Rows
-    add in row order, then the ray, then the pattern overrides."""
+    add in row order, then the ray; `bc` holds region rules only."""
     L, alpha = vol.half_width, spec.alpha
     cs = np.arange(-L, L + 1)
     c, D = _row_leading_term(alpha)
@@ -769,15 +768,8 @@ def _isotropic_field(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
         if s := bc.row_sign(y2):
             d = np.abs(y2 - cs)
             h += s * (half[:, d] if abs(y2) <= L else rest[np.minimum(d, D) - 1])
-    regions = BoundaryCondition(tuple(r for r in bc.rules if isinstance(r, RegionRule)))
-    h += c * _ray_field(vol, regions, alpha - 1.0, 1, em_crossover)
+    h += c * _ray_field(vol, bc, alpha - 1.0, 1, em_crossover)
     h *= getattr(spec, "strength", 1.0)
-
-    # finite pattern overrides relative to the row baseline
-    for site, val in bc.pattern_sites():
-        delta = val - bc.row_sign(site[1])
-        if delta and not vol.contains(site):
-            h += delta * coupling_row(vol, spec, site).reshape(h.shape)
     return h
 
 
@@ -793,28 +785,34 @@ def boundary_field(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition, x: Si
 @byte_lru_cache(FIELD_CACHE_BYTES)
 def _field_vector(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
                   em_crossover: int) -> np.ndarray:
-    """The one field builder; every unbounded tail goes through _ray_field.
-    A 1d chain is one line; axis couplings walk the rows, and the columns
-    too when the vertical coupling is a power law; 2d isotropic couplings
-    add their exterior rows' leading terms as one ray (_isotropic_field);
-    nearest-neighbor bonds come last.  Exterior rules of the other
-    dimension are rejected first (BoundaryCondition.check_dimension)."""
+    """The one field builder.  Each family's path reads the region rules
+    alone; every unbounded tail goes through _ray_field.  A 1d chain is one
+    line; axis couplings walk the rows, and the columns too when the
+    vertical coupling is a power law; 2d isotropic couplings add their
+    exterior rows' leading terms as one ray (_isotropic_field); nearest
+    neighbor bonds follow.  Each exterior pattern site y then adds its
+    coupling row times omega_y less its region spin: its exact pair terms,
+    once.  Exterior rules of the other dimension are rejected first."""
     validate_coupling(spec, vol.dimension)
     bc.check_dimension(vol.dimension)
+    regions = BoundaryCondition(tuple(r for r in bc.rules if isinstance(r, RegionRule)))
     nn, axes = getattr(spec, "nn_strength", 0.0), range(vol.dimension)
     if isinstance(spec, AnisotropicAxes):
-        h = _ray_field(vol, bc, spec.horizontal_alpha, 0, em_crossover)
+        h = _ray_field(vol, regions, spec.horizontal_alpha, 0, em_crossover)
         if spec.vertical != "nn":
-            h += _ray_field(vol, bc, float(spec.vertical), 1, em_crossover)
+            h += _ray_field(vol, regions, float(spec.vertical), 1, em_crossover)
         nn, axes = (1.0 if spec.vertical == "nn" else 0.0), (1,)
     elif isinstance(spec, NearestNeighbor):
         h, nn = np.zeros((vol.side,) * vol.dimension), spec.strength
     elif vol.dimension == 1:
-        h = getattr(spec, "strength", 1.0) * _ray_field(vol, bc, spec.alpha, 0, em_crossover)
+        h = getattr(spec, "strength", 1.0) * _ray_field(vol, regions, spec.alpha, 0, em_crossover)
     else:
-        h = _isotropic_field(vol, spec, bc, em_crossover)
+        h = _isotropic_field(vol, spec, regions, em_crossover)
     if nn:
-        _add_nn_bonds(h, vol, bc, nn, axes)
+        _add_nn_bonds(h, vol, regions, nn, axes)
+    for site in dict(bc.pattern_sites()):
+        if not vol.contains(site) and (delta := bc.spin_at(site) - regions.spin_at(site)):
+            h += delta * coupling_row(vol, spec, site).reshape(h.shape)
     h = h.ravel()
     h.setflags(write=False)
     return h

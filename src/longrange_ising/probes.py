@@ -401,52 +401,38 @@ def percus_transform(coupling: model.AnisotropicAxes, vol: model.Volume) -> dict
     pos = {s: i for i, s in enumerate(labels)}
     nlab = len(labels)
 
-    # sigma = s/2 + ct * t on the label of a 2d site (its mirror below the
-    # axis, where ct = -1/2); the decoupled chain sits in the difference slot
-    # of the line labels, sigma'_x = (s_x - t_x)/2.  Sites list the box, then
-    # the chain.
-    sites2 = vol.sites()
+    # sigma = P u, u = (s, t) over the labels: sigma = s/2 + ct * t on the
+    # label of a 2d site (its mirror below the axis, where ct = -1/2); the
+    # decoupled chain sits in the difference slot of the line labels,
+    # sigma'_x = (s_x - t_x)/2.  Sites list the box, then the chain.
+    sites2, n2 = vol.sites(), vol.n_sites
     lab = np.array([pos[(x1, abs(x2))] for x1, x2 in sites2]
                    + [pos[(x1, 0)] for x1 in chain_vol.sites()])
     ct = np.array([0.5 if x2 >= 0 else -0.5 for _, x2 in sites2]
                   + [-0.5] * chain_vol.n_sites)
-    # pairs in upper-triangle order, the box's then the chain's; np.add.at
-    # accumulates each table cell in that order
-    i2, j2 = np.triu_indices(vol.n_sites, 1)
-    i1, j1 = np.triu_indices(chain_vol.n_sites, 1)
-    i = np.concatenate([i2, i1 + vol.n_sites])
-    j = np.concatenate([j2, j1 + vol.n_sites])
-    J = np.concatenate([model.coupling_matrix(vol, coupling)[i2, j2],
-                        model.coupling_matrix(chain_vol, chain_spec)[i1, j1]])
-
-    def both_orders(ab, ba):
-        return np.stack([ab, ba], axis=1).ravel()
-
-    cells = (both_orders(lab[i], lab[j]), both_orders(lab[j], lab[i]))
-    ss = np.zeros((nlab, nlab))
-    tt = np.zeros((nlab, nlab))
-    st = np.zeros((nlab, nlab))
-    np.add.at(ss, cells, np.repeat(J * 0.5 * 0.5, 2))
-    np.add.at(tt, cells, np.repeat(J * ct[i] * ct[j], 2))
-    np.add.at(st, cells, both_orders(J * 0.5 * ct[j], J * ct[i] * 0.5))
+    P = np.zeros((lab.size, 2 * nlab))
+    P[np.arange(lab.size), lab] = 0.5
+    P[np.arange(lab.size), nlab + lab] = ct
+    # H = -sigma.J.sigma/2 - h.sigma with J block-diagonal over box and chain
+    # is -u.Q.u/2 - lin.u for the congruence Q = P^T J P and lin = P^T h
+    J = np.zeros((lab.size, lab.size))
+    J[:n2, :n2] = model.coupling_matrix(vol, coupling)
+    J[n2:, n2:] = model.coupling_matrix(chain_vol, chain_spec)
     h = np.concatenate([model.boundary_field_vector(vol, coupling, bc2),
                         model.boundary_field_vector(chain_vol, chain_spec,
                                                     model.plus_bc())])
-    lin_s = np.zeros(nlab)
-    lin_t = np.zeros(nlab)
-    np.add.at(lin_s, lab, h * 0.5)
-    np.add.at(lin_t, lab, h * ct)
+    Q, lin = P.T @ J @ P, P.T @ h
+    lin_s, lin_t = lin[:nlab], lin[nlab:]
 
     # self-pairs (x, mirror x) land on one label as (s^2 - t^2)/4 terms; the
     # constraint s^2 + t^2 = 4 folds them into a nonnegative s^2 coefficient
-    # plus a constant, and s_i t_i vanishes identically
-    const = 0.0
-    for i in range(nlab):
-        dtt = tt[i, i]
-        ss[i, i] -= dtt
-        tt[i, i] = 0.0
-        st[i, i] = 0.0
-        const -= 2.0 * dtt
+    # plus a constant, and s_i t_i vanishes identically.  The constant sums
+    # in label order from +0.0.
+    self_terms = np.diag(Q[nlab:, nlab:])
+    ss = Q[:nlab, :nlab] - np.diag(self_terms)
+    tt = Q[nlab:, nlab:] - np.diag(self_terms)
+    st = Q[:nlab, nlab:] - np.diag(np.diag(Q[:nlab, nlab:]))
+    const = 0.0 - 2.0 * float(np.cumsum(self_terms)[-1])
 
     # cross (s t) couplings are part of the rewriting (line-to-column terms
     # come out as s_y (s_x + t_x)/2); nonnegativity must cover them as well

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -322,11 +323,7 @@ def _isotropic_site_field(vol, spec, bc, x, ray):
             total += s * (m._full_row_sum(a, d, m.EM_CROSSOVER) - c * float(m._power(d, a - 1.0))
                           if d < D else 0.0)
     total += c * ray
-    total *= spec.strength if isinstance(spec, m.PowerLaw) else 1.0
-    for site, val in bc.pattern_sites():
-        if not vol.contains(site) and val != bc.row_sign(site[1]):
-            total += (val - bc.row_sign(site[1])) * m.coupling_value(spec, x, site)
-    return total
+    return total * (spec.strength if isinstance(spec, m.PowerLaw) else 1.0)
 
 
 @pytest.mark.parametrize("spec", [m.PowerLaw(0.7, 2.5), m.IsotropicMixed(2.0, 3.0)])
@@ -338,9 +335,36 @@ def test_isotropic_field_matches_per_site_sum(spec):
                     (m.Volume(2, 1), m.pattern_bc({(0, 2): 1}))]:
         regions = m.BoundaryCondition(tuple(r for r in bc.rules if isinstance(r, m.RegionRule)))
         ray = m._ray_field(vol, regions, spec.alpha - 1.0, 1, m.EM_CROSSOVER).ravel()
-        h = m._isotropic_field(vol, spec, bc, m.EM_CROSSOVER).ravel()
+        h = m._isotropic_field(vol, spec, regions, m.EM_CROSSOVER).ravel()
         for i, x in enumerate(vol.sites()):
-            assert h[i] == _isotropic_site_field(vol, spec, bc, x, ray[i])
+            assert h[i] == _isotropic_site_field(vol, spec, regions, x, ray[i])
+
+
+@pytest.mark.parametrize("vol, pattern", [
+    (m.Volume(1, 3), {4: 1, -4: -1, -9: 1, 40: -1, 200_000: 1}),
+    (m.Volume(2, 1), {(0, 2): 1, (-2, 1): -1, (3, 3): 1, (0, -7): -1})])
+def test_finite_pattern_field_is_pair_sum(vol, pattern, monkeypatch):
+    # over a free base the field is the finite pair sum, neighbour bonds once;
+    # a site at 200,000 neither widens a near zone nor costs its length, and
+    # the family paths see the region rules alone
+    specs = (m.NearestNeighbor(1.3), m.PowerLaw(0.7, 1.5), m.IsotropicMixed(2.0, 1.8)) \
+        if vol.dimension == 1 else \
+        (m.NearestNeighbor(1.3), m.PowerLaw(0.7, 2.5), m.IsotropicMixed(2.0, 3.0),
+         m.AnisotropicAxes(1.5, "nn"), m.AnisotropicAxes(1.5, 2.2))
+    seen = []
+    for name in ("_ray_field", "_isotropic_field", "_add_nn_bonds"):
+        def spy(*args, _path=getattr(m, name)):
+            seen.extend(a for a in args if isinstance(a, m.BoundaryCondition))
+            return _path(*args)
+        monkeypatch.setattr(m, name, spy)
+    for spec in specs:
+        start = time.process_time()
+        h = m.boundary_field_vector(vol, spec, m.pattern_bc(pattern))
+        assert time.process_time() - start < 0.1
+        for i, x in enumerate(vol.sites()):
+            want = sum(v * m.coupling_value(spec, x, y) for y, v in pattern.items())
+            assert abs(h[i] - want) <= 1e-13, (spec, x, h[i], want)
+    assert seen and not any(isinstance(r, m.PatternRule) for bc in seen for r in bc.rules)
 
 
 def _mpmath_row_sums(mpmath, alpha):

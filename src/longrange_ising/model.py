@@ -1,13 +1,13 @@
 """Lattices, coupling families, boundary conditions, and Hamiltonians.
 
 Volumes are centered boxes [-L, L] (1d) or ([-L, L] cap Z)^2 (2d).  Interior
-pair sums count each unordered pair once.  Boundary fields are exact: a
-directly enumerated near zone plus analytic tails (Euler-Maclaurin corrected
-Hurwitz-type sums), accurate to better than 1e-10 absolute.  Every unbounded
-tail goes through one ray routine (_ray_field), which reads the region rules
-alone; each finite pattern site adds its own coupling row once.  site_fields
-adds the external field to the boundary field: the static field that every
-kernel and sampler reads through _reduce.
+pair sums count each unordered pair once.  Boundary fields are exact sums
+of analytic tails (Euler-Maclaurin corrected Hurwitz-type sums), accurate to
+better than 1e-10 absolute.  Every unbounded tail goes through one ray
+routine (_ray_field), which reads the region rules alone and adds one tail
+per cut where a region fill changes; each finite pattern site adds its own
+coupling row once.  site_fields adds the external field to the boundary
+field: the static field that every kernel and sampler reads through _reduce.
 
 All public objects are immutable (frozen dataclasses over hashable fields),
 so derived arrays can be cached and shared freely across workers.  Tables
@@ -49,7 +49,7 @@ ROW_BLOCK_BYTES = 64 << 10
 MATRIX_CACHE_BYTES = 256 << 20
 FIELD_CACHE_BYTES = 256 << 10
 
-#: Bytes of one (sites x near-zone) power-matrix block of a field vector.
+#: Bytes of one block of coupling_matrix rows.
 NEAR_BLOCK_BYTES = 4 << 20
 
 
@@ -577,18 +577,20 @@ class BoundaryCondition:
             elif dimension == 1 and isinstance(rule.region, HalfPlane):
                 raise ValueError("half-plane rule in a 1d boundary condition")
 
-    def finite_extent(self) -> int:
-        """Largest |coordinate| pinned by bounded regions (not by patterns)."""
-        ext = 0
+    def cuts(self, direction: int, axis: int) -> list:
+        """Sorted distances a at which a region fill can change along a ray
+        of `axis` in `direction` (+1 or -1): the sites direction * t, t > a,
+        may take another fill than the site direction * a.  Interval bounds
+        cut 1d rays; half-plane bounds cut 2d columns (axis 1), never rows."""
+        starts = set()              # p: y = p - 1 and y = p may differ
         for rule in self.rules:
             region = getattr(rule, "region", None)
             if isinstance(region, Interval):
-                for b in (region.lo, region.hi):
-                    if b is not None:
-                        ext = max(ext, abs(b))
-            elif isinstance(region, HalfPlane):
-                ext = max(ext, abs(region.boundary))
-        return ext
+                starts.update(b for b in (region.lo, None if region.hi is None else region.hi + 1)
+                              if b is not None)
+            elif isinstance(region, HalfPlane) and axis == 1:
+                starts.add(region.boundary)
+        return sorted(direction * p - (direction + 1) // 2 for p in starts)
 
     def tail_fill(self, probe: Site):
         """Fill of the first region rule containing `probe`, patterns skipped:
@@ -650,16 +652,17 @@ def dobrushin2d_bc(height: int = 0) -> BoundaryCondition:
     )
 
 
-def left_neighborhood_bc(sign: int, N: int, L: int) -> BoundaryCondition:
-    """Past fixed near an alternating window: alternating on [-L, -1],
-    `sign` on the annulus [-N, -L-1], plus beyond on both sides."""
+def left_neighborhood_bc(sign: int, N: int, L: int, edge: int = 0) -> BoundaryCondition:
+    """Past fixed near an alternating window left of the site `edge`:
+    (-1)^(edge - y) on the window [edge - L, edge - 1], `sign` on the
+    annulus [edge - N, edge - L - 1], plus beyond on both sides."""
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     return BoundaryCondition(
-        (RegionRule(Interval(-L, -1), AlternatingFill(1)),
-         RegionRule(Interval(-N, -L - 1), ConstFill(sign)),
+        (RegionRule(Interval(edge - L, edge - 1), AlternatingFill(1 - 2 * (edge % 2))),
+         RegionRule(Interval(edge - N, edge - L - 1), ConstFill(sign)),
          RegionRule(Everywhere(), ConstFill(1))),
-        name=f"left_neighborhood({'+' if sign > 0 else '-'},N={N},L={L})",
+        name=f"left_neighborhood({'+' if sign > 0 else '-'},N={N},L={L},edge={edge})",
     )
 
 
@@ -681,52 +684,38 @@ def pattern_bc(assignments: Mapping[Site, int], base: BoundaryCondition = None) 
 # boundary fields
 
 
-def _power_sum(xs: np.ndarray, ys: np.ndarray, spins: np.ndarray, alpha: float) -> np.ndarray:
-    """Sum_y |y - x|^(-alpha) * spins[y] for every x: the power matrix of the
-    near zone times its spins (a vector or one column per line), built in row
-    blocks of at most NEAR_BLOCK_BYTES."""
-    out = np.zeros((xs.size,) + spins.shape[1:])
-    if ys.size:
-        step = max(1, NEAR_BLOCK_BYTES // (8 * ys.size))
-        for i in range(0, xs.size, step):
-            d = np.abs(ys[None, :] - xs[i:i + step, None]).astype(np.float64)
-            out[i:i + step] = d ** (-alpha) @ spins
-    return out
-
-
 def _ray_field(vol: Volume, bc: BoundaryCondition, alpha: float, axis: int,
                em_crossover: int) -> np.ndarray:
     """Unit-amplitude ray part of h: Sum_y |y - x|^(-alpha) omega_y over the
     exterior sites y on the line through x along `axis`, in the volume's
     shape.  A 1d chain is one line; in 2d each row (axis 0) or column
-    (axis 1) is one.  `bc` holds region rules only.  On each side the near
-    zone out to the last bounded region W is read once and summed as one
-    power-matrix product over all lines; each line then adds its analytic
-    tail beyond W: a Hurwitz tail for a constant fill, the alternating
-    (Boole) tail for a 1d alternating fill."""
+    (axis 1) is one.  `bc` holds region rules only.  On each side the fill
+    of the sites beyond a cut a (the volume's edge L, then each of bc.cuts
+    past it) is the sum of the fill changes at the cuts up to a, so the ray
+    telescopes into tails from a: the change of constant fill times a
+    Hurwitz tail, the change of 1d alternating phase times (-1)^x and the
+    alternating (Boole) tail, one vector call over all lines each."""
     L = vol.half_width
     xs = np.arange(-L, L + 1)
-    W = max(L, bc.finite_extent())
     if vol.dimension == 1:
         lines, site = [0], (lambda c, t: t)
     else:
         lines = xs.tolist()
         site = (lambda c, t: (c, t)) if axis else (lambda c, t: (t, c))
-    shape = (vol.side,) * vol.dimension           # h[along, line]
-    h = np.zeros(shape)
+    h = np.zeros((vol.side,) * vol.dimension)     # h[along, line]
     for direction in (+1, -1):
-        ys = direction * np.arange(L + 1, W + 1)
-        spins = np.array([bc.spin_at(site(c, y)) for y in ys.tolist() for c in lines],
-                         dtype=np.float64).reshape(ys.shape + shape[1:])
-        h += _power_sum(xs, ys, spins, alpha)
-        fills = [bc.tail_fill(site(c, direction * (W + 1))) for c in lines]
-        starts = W - direction * xs
-        if isinstance(fills[0], AlternatingFill):  # (-1)^y = (-1)^x (-1)^k at distance k
-            h += fills[0].phase * (1 - 2 * (xs % 2)) \
-                * alternating_tail(alpha, 0.0, starts, em_crossover)
-        elif any(values := [f.value for f in fills]):
-            tail = hurwitz_tail(alpha, 0.0, starts, em_crossover)
-            h += values[0] * tail if vol.dimension == 1 else np.outer(tail, values)
+        values, phase = np.zeros(len(lines)), 0
+        for a in [L] + [a for a in bc.cuts(direction, axis) if a > L]:
+            fills = [bc.tail_fill(site(c, direction * (a + 1))) for c in lines]
+            new = np.array([getattr(f, "value", 0) for f in fills], dtype=np.float64)
+            new_phase, starts = getattr(fills[0], "phase", 0), a - direction * xs
+            if new_phase != phase:     # (-1)^y = (-1)^x (-1)^k at distance k
+                h += (new_phase - phase) * (1 - 2 * (xs % 2)) \
+                    * alternating_tail(alpha, 0.0, starts, em_crossover)
+            if (change := new - values).any():
+                tail = hurwitz_tail(alpha, 0.0, starts, em_crossover)
+                h += change[0] * tail if vol.dimension == 1 else np.outer(tail, change)
+            values, phase = new, new_phase
     return h.T if axis else h
 
 

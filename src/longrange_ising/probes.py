@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exact, mcmc, model
-from .util import canonical_json, iter_spin_blocks, loglog_slope
+from .util import byte_lru_cache, canonical_json, iter_spin_blocks, loglog_slope
 
 #: Replicas used by every mcmc-backed probe (mixed initial conditions).
 MCMC_REPLICAS = 8
@@ -178,27 +178,21 @@ def decimation_probe(alpha: float, beta: float, L: int, method: str = "exact",
 
 def past_field(sign: int, alpha: float, L: int, N: int, n: int, x: int,
                em_crossover: int = model.EM_CROSSOVER) -> float:
-    """External field at chain site x from a frozen past: an alternating
-    window of depth L, the annulus (L, N] at `sign`, plus beyond N, and the
-    plus tail beyond the chain length n.  With T(s) = Sum_{k > s} (k + x)^(-alpha)
-    the annulus is T(L) - T(N), so the field is
-
-        window + sign T(L) + (1 - sign) T(N) + T(n - 1),
-
-    from three scalar Hurwitz tails; absolute error below 1e-10.
-    """
-    if sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
+    """Field at site x of the chain [0, n] (n even) from a frozen past: the
+    exterior of g_probe, an alternating window of depth L, the annulus
+    (L, N] at `sign` and plus beyond it and right of the chain.  One entry
+    of that boundary-field vector, cached under the scalar arguments."""
     if not 0 <= x <= n:
         raise ValueError("x must lie in [0, n]")
-    if not L < N < n:
-        raise ValueError("need L < N < n")
-    window = sum((-1.0) ** k * (k + x) ** (-alpha) for k in range(1, L + 1))
+    return float(_past_fields(sign, alpha, L, N, n, em_crossover)[x])
 
-    def T(s):
-        return model.hurwitz_tail(alpha, float(x), s, em_crossover)
 
-    return window + sign * T(L) + (1 - sign) * T(N) + T(n - 1)
+@byte_lru_cache(model.FIELD_CACHE_BYTES)
+def _past_fields(sign, alpha, L, N, n, em_crossover):
+    if not L < N < n or n % 2:
+        raise ValueError("need L < N < n with n even")
+    return model._field_vector(model.Volume(1, n // 2), model.PowerLaw(1.0, alpha),
+                               model.left_neighborhood_bc(sign, N, L, -(n // 2)), em_crossover)
 
 
 def g_probe(alpha: float, beta: float, L: int, method: str = "exact",
@@ -206,7 +200,9 @@ def g_probe(alpha: float, beta: float, L: int, method: str = "exact",
             n_sweeps: int = 40_000, burn_in: int = 4_000) -> ProbeReport:
     """One-sided magnetization of the origin for the two past neighborhoods
     of the alternating configuration; a positive gap is the discontinuity
-    signature of the candidate one-sided conditional probability."""
+    signature of the candidate one-sided conditional probability.  The
+    chain [0, n] is the volume [-n/2, n/2], its past the exterior
+    left_neighborhood_bc(sign, N, L, -n/2)."""
     N = N if N is not None else annulus_size(alpha, 2 * L)
     n = n if n is not None else N + 4
     if n % 2:
@@ -217,12 +213,11 @@ def g_probe(alpha: float, beta: float, L: int, method: str = "exact",
         "alpha": alpha, "beta": beta, "L": L, "N": N, "n": n,
         "method": method, "seed": seed,
     })
+    params = model.ModelParams(beta, model.PowerLaw(1.0, alpha))
     sides = {}
     for sign, tag in ((1, "plus"), (-1, "minus")):
-        fields = tuple(past_field(sign, alpha, L, N, n, s + shift)
-                       for s in vol.sites())
-        params = model.ModelParams(beta, model.PowerLaw(1.0, alpha), field=fields)
-        means, _ = _measure(vol, params, model.free_bc(), [-shift], method, seed,
+        bc = model.left_neighborhood_bc(sign, N, L, -shift)
+        means, _ = _measure(vol, params, bc, [-shift], method, seed,
                             _stream_key("g_measure", sign), n_sweeps, burn_in)
         sides[sign] = report.scalars[f"m_{tag}"] = means[-shift]   # chain site x = 0
     _two_sided_gap(report, beta, sides[1], sides[-1])

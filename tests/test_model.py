@@ -260,6 +260,51 @@ def test_boundary_field_near_zone_brute(kind, alpha):
         assert h[vol.index(x)] == pytest.approx(brute, abs=1e-9)
 
 
+def _mpmath_ray_field(mpmath, vol, alpha, bc, E):
+    """1d h in mpmath: the exterior spins summed directly out to |y| = E,
+    beyond it the constant far fill of bc times two Hurwitz zetas."""
+    far = bc.spin_at(E + 1)
+    return np.array([float(mpmath.fsum(bc.spin_at(y) * mpmath.mpf(abs(y - x)) ** -alpha
+                                       for y in range(-E, E + 1) if not vol.contains(y))
+                           + far * (mpmath.zeta(alpha, E + 1 - x) + mpmath.zeta(alpha, E + 1 + x)))
+                     for x in vol.sites()])
+
+
+@pytest.mark.parametrize("alpha", (1.2, 1.6, 2.6))
+def test_cut_field_vectors_match_mpmath(alpha):
+    # one tail per cut where a region fill changes: intervals inside the
+    # volume, touching it and beyond it, and alternating windows at odd and
+    # even edges, to 1e-14 of each vector's maximum
+    mpmath = pytest.importorskip("mpmath")
+    vol, spec = m.Volume(1, 4), m.PowerLaw(1.0, alpha)
+    bcs = [m.frozen_interval_bc(-2, 1), m.frozen_interval_bc(5, 9), m.frozen_interval_bc(-9, -3),
+           m.frozen_interval_bc(-7, 2, 1, -1), m.frozen_interval_bc(8, 20, 0),
+           m.frozen_interval_bc(-30, -12, 1, 0)]
+    bcs += [m.left_neighborhood_bc(sign, N, L, edge) for sign in (1, -1)
+            for L, N in ((3, 12), (2, 16)) for edge in (0, -5, -10, -258)]
+    with mpmath.workdps(30):
+        for bc in bcs:
+            want = _mpmath_ray_field(mpmath, vol, alpha, bc, 300)
+            got = m.boundary_field_vector(vol, spec, bc)
+            err = np.abs(got - want).max() / np.abs(want).max()
+            assert err <= 1e-14, (bc.name, err)
+
+
+def test_far_half_plane_field_reads_no_more_spins(monkeypatch):
+    # the column ray adds one tail at the boundary's cut: its cost does not
+    # grow with the height
+    calls, spin_at = [], m.BoundaryCondition.spin_at
+    monkeypatch.setattr(m.BoundaryCondition, "spin_at",
+                        lambda bc, y: calls.append(y) or spin_at(bc, y))
+    counts = []
+    for height in (0, 700, 7000):
+        m.boundary_field_vector.cache_clear()
+        calls.clear()
+        m.boundary_field_vector(m.Volume(2, 2), m.PowerLaw(1, 2.5), m.dobrushin2d_bc(height))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2], counts
+
+
 def test_boundary_field_tail_crossover_doubling():
     cases = [(m.Volume(1, 3), spec, bc)
              for spec in (m.PowerLaw(1.0, 1.5), m.IsotropicMixed(9.0, 1.8))
@@ -400,7 +445,7 @@ def _mpmath_isotropic_field(mpmath, vol, spec, bc, row_sums):
     L, a = vol.half_width, spec.alpha
     full, half, zeta = row_sums
     c = full(1)[0]
-    W = max(L, bc.finite_extent())
+    W = max([L] + [abs(r.region.boundary) for r in bc.rules if isinstance(r.region, m.HalfPlane)])
     h = {}
     for x1, x2 in vol.sites():
         total = mpmath.fsum(bc.row_sign(y2) * (half(abs(y2 - x2), L + 1 - x1)
@@ -866,21 +911,6 @@ def test_volume_index_round_trip():
         for i, site in enumerate(vol.sites()):
             assert vol.index(site) == i
             assert vol.site(i) == site
-
-
-def test_left_neighborhood_field_matches_past_field_terms():
-    # single-site volume: the boundary field decomposes into the alternating
-    # window, the signed annulus, the plus far past, and the plus future
-    from longrange_ising.probes import past_field
-    vol = m.Volume(1, 0)
-    alpha, L, N, n = 1.6, 4, 16, 64
-    for sign in (1, -1):
-        bc = m.left_neighborhood_bc(sign, N, L)
-        got = m.boundary_field(vol, m.PowerLaw(1.0, alpha), bc, 0)
-        want = (past_field(sign, alpha, L, N, n, 0)
-                - m.hurwitz_tail(alpha, 0.0, n - 1)   # drop the chain-tail term
-                + m.tail_coupling_sum(alpha, 0))      # right side all plus
-        assert got == pytest.approx(want, abs=1e-11)
 
 
 def test_frozen_interval_bc_matches_conditional_freezing():

@@ -115,7 +115,8 @@ def conditional_expectation(vol: model.Volume, params: model.ModelParams,
         def fold(start, p):
             full = np.repeat(template[None, :], p.size, axis=0)
             full[:, free_idx] = spin_rows(free_idx.size, start, start + p.size)
-            return obs.evaluate_block(full) @ p
+            # numpy fixes this sum's order; a BLAS dot's may follow the thread count
+            return np.add.reduce(obs.evaluate_block(full) * p)
         return float(sys.sums().fold(fold))
 
     sums = sys.sums()
@@ -263,15 +264,9 @@ def dlr_consistency_check(vol: model.Volume, subvol: model.Volume,
 
 
 def _assert_nonnegative_environment(params, bc):
-    for rule in bc.rules:
-        if isinstance(rule, model.PatternRule):
-            if any(v < 0 for _, v in rule.assignments):
-                raise ValueError("nonnegative boundary required")
-        elif isinstance(rule.fill, model.ConstFill):
-            if rule.fill.value < 0:
-                raise ValueError("nonnegative boundary required")
-        else:
-            raise ValueError("nonnegative boundary required")
+    if any(spin < 0 for _, spin in bc.pattern) or not all(
+            isinstance(rule.fill, model.ConstFill) and rule.fill.value >= 0 for rule in bc.rules):
+        raise ValueError("nonnegative boundary required")
     f = params.field
     if isinstance(f, (int, float)) and f < 0:
         raise ValueError("nonnegative field required")

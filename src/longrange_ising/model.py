@@ -308,27 +308,17 @@ def hurwitz_tail(alpha: float, shift: float = 0.0, start=0,
     """
     if alpha <= 1:
         raise ValueError("tail sum diverges for alpha <= 1")
-    M = em_crossover
-    if isinstance(start, (int, np.integer)) or np.ndim(start) == 0:
-        m = int(start) + 1.0 + shift
-        if m <= 0:
-            raise ValueError("summand base must stay positive")
-        n = max(math.ceil(M - m), 0)
-        total = 0.0
-        for i in range(n - 1, -1, -1):
-            total += (m + i) ** (-alpha)
-        return total + _em_tail(alpha, m + n)
-    m = np.asarray(start, dtype=np.float64) + 1.0 + shift
+    m = np.atleast_1d(np.asarray(start, dtype=np.float64)) + 1.0 + shift
     lo = float(m.min())
     if lo <= 0:
         raise ValueError("summand base must stay positive")
-    n = max(math.ceil(M - lo), 0)
+    n = max(math.ceil(em_crossover - lo), 0)
     out = _em_tail(alpha, np.maximum(m, lo + n))
     head = m < lo + n
     if head.any():
         suffix = np.cumsum((lo + np.arange(n - 1, -1, -1.0)) ** (-alpha))[::-1]
         out[head] += suffix[np.rint(m[head] - lo).astype(np.int64)]
-    return out
+    return out if np.ndim(start) else float(out[0])
 
 
 def tail_coupling_sum(alpha: float, N: int) -> float:
@@ -500,77 +490,59 @@ class RegionRule:
     region: Union[Interval, HalfPlane, Everywhere]
     fill: Union[ConstFill, AlternatingFill]
 
-    def matches(self, y: Site) -> bool:
-        return self.region.contains(y)
-
-    def spin(self, y: Site) -> int:
-        return self.fill.spin(y)
-
     def flipped(self) -> "RegionRule":
         return RegionRule(self.region, self.fill.flipped())
 
 
 @dataclass(frozen=True)
-class PatternRule:
-    """Explicit finite pattern; assignments is a sorted tuple of (site, spin)."""
-
-    assignments: tuple
-
-    def matches(self, y: Site) -> bool:
-        return any(s == y for s, _ in self.assignments)
-
-    def spin(self, y: Site) -> int:
-        for s, v in self.assignments:
-            if s == y:
-                return v
-        raise KeyError(y)
-
-    def flipped(self) -> "PatternRule":
-        return PatternRule(tuple((s, -v) for s, v in self.assignments))
-
-
-@dataclass(frozen=True)
 class BoundaryCondition:
-    """Ordered piecewise fill of the exterior; the first matching rule wins.
+    """Exterior spins: the region rules' piecewise fill, the first rule
+    containing a site winning, overridden by one finite pattern.
 
-    The final rule must cover everything (an Everywhere region), so the
-    unbounded part always has a constant or alternating analytic tail.
+    `rules` holds RegionRules alone, and the last one must cover everything
+    (an Everywhere region), so the unbounded part always has a constant or
+    alternating analytic tail.  `pattern` is a tuple of (site, spin) pairs,
+    each site once, the most recent assignments first (with_pattern).
     """
 
     rules: tuple
     name: str = ""
+    pattern: tuple = ()
 
     def __post_init__(self):
-        if not self.rules or not isinstance(self.rules[-1], RegionRule) or \
-                not isinstance(self.rules[-1].region, Everywhere):
+        if not all(isinstance(rule, RegionRule) for rule in self.rules):
+            raise ValueError("boundary rules must be region rules; finite patterns go in `pattern`")
+        if not self.rules or not isinstance(self.rules[-1].region, Everywhere):
             raise ValueError("boundary condition needs a trailing Everywhere rule")
 
     def spin_at(self, y: Site) -> int:
-        for rule in self.rules:
-            if rule.matches(y):
-                return rule.spin(y)
-        raise AssertionError("unreachable: trailing rule covers everything")
+        for site, spin in self.pattern:
+            if site == y:
+                return spin
+        return self.tail_fill(y).spin(y)
 
     def flipped(self) -> "BoundaryCondition":
         return BoundaryCondition(tuple(r.flipped() for r in self.rules),
-                                 name=f"flipped({self.name})" if self.name else "")
+                                 f"flipped({self.name})" if self.name else "",
+                                 tuple((site, -spin) for site, spin in self.pattern))
 
     def with_pattern(self, assignments: Mapping[Site, int]) -> "BoundaryCondition":
-        """Overlay an explicit finite pattern in front of the existing rules."""
-        pat = PatternRule(tuple(sorted(assignments.items(), key=lambda kv: str(kv[0]))))
-        return BoundaryCondition((pat,) + self.rules, name=f"{self.name}+pattern")
+        """The same rules under a pattern that overrides the old one: the
+        new assignments, sorted by str(site), then the old entries whose
+        sites they leave alone, in their order."""
+        new = sorted(assignments.items(), key=lambda kv: str(kv[0]))
+        old = [(site, spin) for site, spin in self.pattern if site not in assignments]
+        return BoundaryCondition(self.rules, f"{self.name}+pattern", tuple(new + old))
 
     def check_dimension(self, dimension: int) -> None:
-        """Raise ValueError on a rule of the other dimension: a 1d interval,
-        alternating fill or integer pattern site in 2d, a half-plane or tuple
-        pattern site in 1d."""
+        """Raise ValueError on a pattern site or rule of the other dimension:
+        an integer pattern site, 1d interval or alternating fill in 2d, a
+        tuple pattern site or half-plane in 1d."""
+        for site, _ in self.pattern:
+            if isinstance(site, tuple) != (dimension == 2):
+                raise ValueError(f"pattern site {site} in a {dimension}d boundary condition")
         for rule in self.rules:
-            if isinstance(rule, PatternRule):
-                for site, _ in rule.assignments:
-                    if isinstance(site, tuple) != (dimension == 2):
-                        raise ValueError(f"pattern site {site} in a {dimension}d "
-                                         "boundary condition")
-            elif dimension == 2 and isinstance(rule.region, Interval):
+            if dimension == 2 and isinstance(rule.region, Interval):
                 raise ValueError("1d interval rule in a 2d boundary condition")
             elif dimension == 2 and isinstance(rule.fill, AlternatingFill):
                 raise ValueError("alternating fills are 1d-only")
@@ -583,8 +555,7 @@ class BoundaryCondition:
         may take another fill than the site direction * a.  Interval bounds
         cut 1d rays; half-plane bounds cut 2d columns (axis 1), never rows."""
         starts = set()              # p: y = p - 1 and y = p may differ
-        for rule in self.rules:
-            region = getattr(rule, "region", None)
+        for region in (rule.region for rule in self.rules):
             if isinstance(region, Interval):
                 starts.update(b for b in (region.lo, None if region.hi is None else region.hi + 1)
                               if b is not None)
@@ -593,11 +564,11 @@ class BoundaryCondition:
         return sorted(direction * p - (direction + 1) // 2 for p in starts)
 
     def tail_fill(self, probe: Site):
-        """Fill of the first region rule containing `probe`, patterns skipped:
-        the fill of a whole unbounded ray tail when `probe` is any site of
-        it, or of a whole 2d row."""
+        """Fill of the first rule containing `probe`, the pattern aside: the
+        fill of a whole unbounded ray tail when `probe` is any site of it,
+        or of a whole 2d row."""
         for rule in self.rules:
-            if isinstance(rule, RegionRule) and rule.matches(probe):
+            if rule.region.contains(probe):
                 return rule.fill
         raise AssertionError("unreachable: trailing rule covers everything")
 
@@ -605,13 +576,6 @@ class BoundaryCondition:
         """Constant fill of row y2, ignoring finite pattern overrides (2d
         rules only; `check_dimension` checks them)."""
         return self.tail_fill((0, y2)).value
-
-    def pattern_sites(self) -> list:
-        out = []
-        for rule in self.rules:
-            if isinstance(rule, PatternRule):
-                out.extend(rule.assignments)
-        return out
 
 
 # built-in constructors
@@ -676,7 +640,8 @@ def frozen_interval_bc(lo: int, hi: int, inner: int = -1, outer: int = 1) -> Bou
 
 
 def pattern_bc(assignments: Mapping[Site, int], base: BoundaryCondition = None) -> BoundaryCondition:
-    """Explicit finite pattern over a base condition (default: free)."""
+    """A base condition (default: free) with its pattern overridden by
+    `assignments` (BoundaryCondition.with_pattern)."""
     return (base or free_bc()).with_pattern(assignments)
 
 
@@ -784,7 +749,7 @@ def _field_vector(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
     once.  Exterior rules of the other dimension are rejected first."""
     validate_coupling(spec, vol.dimension)
     bc.check_dimension(vol.dimension)
-    regions = BoundaryCondition(tuple(r for r in bc.rules if isinstance(r, RegionRule)))
+    regions = BoundaryCondition(bc.rules) if bc.pattern else bc
     nn, axes = getattr(spec, "nn_strength", 0.0), range(vol.dimension)
     if isinstance(spec, AnisotropicAxes):
         h = _ray_field(vol, regions, spec.horizontal_alpha, 0, em_crossover)
@@ -799,8 +764,8 @@ def _field_vector(vol: Volume, spec: CouplingSpec, bc: BoundaryCondition,
         h = _isotropic_field(vol, spec, regions, em_crossover)
     if nn:
         _add_nn_bonds(h, vol, regions, nn, axes)
-    for site in dict(bc.pattern_sites()):
-        if not vol.contains(site) and (delta := bc.spin_at(site) - regions.spin_at(site)):
+    for site, spin in bc.pattern:
+        if not vol.contains(site) and (delta := spin - regions.spin_at(site)):
             h += delta * coupling_row(vol, spec, site).reshape(h.shape)
     h = h.ravel()
     h.setflags(write=False)

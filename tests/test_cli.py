@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -385,6 +386,43 @@ def test_cli_determinism_bytes(tmp_path):
         rec.pop("wall_clock_s")
         records.append(json.dumps(rec, sort_keys=True))
     assert records[0] == records[1]
+
+
+#: exact values and a recorded chain whose bytes must not follow the BLAS
+#: thread count: a non-linear fold, log Z and site means at 23 sites, one
+#: interface law, one recorded 17x17 chain and its resynced fields
+BLAS_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from longrange_ising import exact, mcmc, model as m
+
+vol = m.Volume(1, 9)
+params = m.ModelParams(0.8, m.PowerLaw(1.0, 1.5), 0.1)
+obs = exact.increasing_observable(vol, np.ones(vol.n_sites), 0.0)
+print(repr(exact.conditional_expectation(vol, params, m.plus_bc(), {-9: 1, 9: -1}, obs)))
+vol, params = m.Volume(1, 11), m.ModelParams(1.0, m.PowerLaw(1.0, 1.5))
+for bc in (m.plus_bc(), m.dobrushin1d_bc()):
+    print(repr(m.log_partition(vol, params, bc)),
+          [repr(v) for v in exact.conditional_site_means(vol, params, bc).values()])
+law = exact.interface_distribution(m.Volume(1, 7), m.ModelParams(2.0, m.PowerLaw(1.0, 1.5)))
+print([repr(v) for v in law.masses])
+st = mcmc.sampler_new(m.Volume(2, 8), m.ModelParams(3.0, m.PowerLaw(1.0, 2.5)),
+                      m.dobrushin2d_bc(0), seed=5, initial="random")
+rows = mcmc.run(st, 50, "heat_bath", record=True)
+st.resync()
+print(hashlib.sha256(rows.tobytes()).hexdigest(), repr(st.energy),
+      hashlib.sha256(st.fields.tobytes()).hexdigest())
+"""
+
+
+def test_records_do_not_depend_on_blas_threads():
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT], capture_output=True,
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_explain():

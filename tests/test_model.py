@@ -409,7 +409,35 @@ def test_finite_pattern_field_is_pair_sum(vol, pattern, monkeypatch):
         for i, x in enumerate(vol.sites()):
             want = sum(v * m.coupling_value(spec, x, y) for y, v in pattern.items())
             assert abs(h[i] - want) <= 1e-13, (spec, x, h[i], want)
-    assert seen and not any(isinstance(r, m.PatternRule) for bc in seen for r in bc.rules)
+    assert seen and not any(bc.pattern for bc in seen)
+
+
+def test_stacked_patterns_override_older_entries():
+    bc = m.plus_bc().with_pattern({4: -1, 9: -1}).with_pattern({4: 1, -6: -1})
+    assert bc.pattern == ((-6, -1), (4, 1), (9, -1))
+    assert [bc.spin_at(y) for y in (4, 9, -6, 5)] == [1, -1, -1, 1]
+    assert bc.flipped().pattern == ((-6, 1), (4, -1), (9, 1))
+
+
+@pytest.mark.parametrize("spec", [m.NearestNeighbor(1.3), m.PowerLaw(0.7, 1.5),
+                                  m.IsotropicMixed(2.0, 1.8)])
+def test_pattern_field_is_region_field_plus_row_changes(spec):
+    # each exterior pattern site y adds (omega_y - 1) J(x, y) to the plus field
+    vol, pattern = m.Volume(1, 3), {4: -1, -6: -1, 9: -1}
+    plus = m.boundary_field_vector(vol, spec, m.plus_bc())
+    h = m.boundary_field_vector(vol, spec, m.plus_bc().with_pattern(pattern))
+    for i, x in enumerate(vol.sites()):
+        want = plus[i] + sum((v - 1) * m.coupling_value(spec, x, y) for y, v in pattern.items())
+        assert abs(h[i] - want) <= 1e-13, (spec, x)
+
+
+def test_boundary_rules_are_region_rules():
+    plus = m.RegionRule(m.Everywhere(), m.ConstFill(1))
+    for rules in (((4, -1), plus), (m.ConstFill(1), plus), (plus, (4, -1)), (plus, None)):
+        with pytest.raises(ValueError, match="region rules"):
+            m.BoundaryCondition(rules)
+    with pytest.raises(ValueError, match="trailing Everywhere"):
+        m.BoundaryCondition((m.RegionRule(m.Interval(None, 0), m.ConstFill(-1)),))
 
 
 def _mpmath_row_sums(mpmath, alpha):

@@ -659,7 +659,10 @@ def _ray_field(vol: Volume, bc: BoundaryCondition, alpha: float, axis: int,
     past it) is the sum of the fill changes at the cuts up to a, so the ray
     telescopes into tails from a: the change of constant fill times a
     Hurwitz tail, the change of 1d alternating phase times (-1)^x and the
-    alternating (Boole) tail, one vector call over all lines each."""
+    alternating (Boole) tail.  The starts a - direction * x of the two
+    sides at one cut are the same integers in reverse order, and a tail
+    entry depends on its own start alone, so each (tail, cut) is one vector
+    call over the ascending starts a + x, read by both sides and all lines."""
     L = vol.half_width
     xs = np.arange(-L, L + 1)
     if vol.dimension == 1:
@@ -667,19 +670,26 @@ def _ray_field(vol: Volume, bc: BoundaryCondition, alpha: float, axis: int,
     else:
         lines = xs.tolist()
         site = (lambda c, t: (c, t)) if axis else (lambda c, t: (t, c))
+    tails = {}
+
+    def tail(fn, a, direction):
+        if (fn, a) not in tails:
+            tails[fn, a] = fn(alpha, 0.0, a + xs, em_crossover)
+        return tails[fn, a][::-direction]
+
     h = np.zeros((vol.side,) * vol.dimension)     # h[along, line]
     for direction in (+1, -1):
         values, phase = np.zeros(len(lines)), 0
         for a in [L] + [a for a in bc.cuts(direction, axis) if a > L]:
             fills = [bc.tail_fill(site(c, direction * (a + 1))) for c in lines]
             new = np.array([getattr(f, "value", 0) for f in fills], dtype=np.float64)
-            new_phase, starts = getattr(fills[0], "phase", 0), a - direction * xs
+            new_phase = getattr(fills[0], "phase", 0)
             if new_phase != phase:     # (-1)^y = (-1)^x (-1)^k at distance k
                 h += (new_phase - phase) * (1 - 2 * (xs % 2)) \
-                    * alternating_tail(alpha, 0.0, starts, em_crossover)
+                    * tail(alternating_tail, a, direction)
             if (change := new - values).any():
-                tail = hurwitz_tail(alpha, 0.0, starts, em_crossover)
-                h += change[0] * tail if vol.dimension == 1 else np.outer(tail, change)
+                t = tail(hurwitz_tail, a, direction)
+                h += change[0] * t if vol.dimension == 1 else np.outer(t, change)
             values, phase = new, new_phase
     return h.T if axis else h
 

@@ -190,6 +190,21 @@ def test_tails_match_mpmath_zeta(alpha):
                                    rtol=1e-15, atol=0)
 
 
+@pytest.mark.parametrize("alpha", (1.2, 1.6, 2.6, 9.5))
+def test_tail_entries_do_not_depend_on_the_batch(alpha):
+    # bases below and beyond the crossover, and on both sides of the Boole
+    # cutoff 40 (alpha + 1): each entry is its own one-start batch, bit for
+    # bit, and a reversed batch is the reversed vector, so the two sides of
+    # a ray can read one call
+    starts = np.array([0, 1, 2, 5, 30, 61, 62, 63, 64, 65, 66, 100, 300, 419, 420, 421, 1000])
+    for tail in (m.hurwitz_tail, m.alternating_tail):
+        for shift in (0.0, 0.5, -0.3):
+            batch = tail(alpha, shift, starts)
+            for i in range(starts.size):
+                assert batch[i] == tail(alpha, shift, starts[i:i + 1])[0], (tail, shift, i)
+            assert np.array_equal(tail(alpha, shift, starts[::-1]), batch[::-1])
+
+
 # ---------------------------------------------------------------------------
 # boundary fields
 
@@ -303,6 +318,55 @@ def test_far_half_plane_field_reads_no_more_spins(monkeypatch):
         m.boundary_field_vector(m.Volume(2, 2), m.PowerLaw(1, 2.5), m.dobrushin2d_bc(height))
         counts.append(len(calls))
     assert counts[0] == counts[1] == counts[2], counts
+
+
+def _per_side_ray(vol, bc, alpha):
+    """The 1d ray with one tail call per side and cut, at the starts
+    a - direction * x of that side: the field builder's sums, nothing shared."""
+    L, xs = vol.half_width, np.arange(-vol.half_width, vol.half_width + 1)
+    h = np.zeros(vol.side)
+    for direction in (+1, -1):
+        value, phase = 0, 0
+        for a in [L] + [a for a in bc.cuts(direction, 0) if a > L]:
+            fill, starts = bc.tail_fill(direction * (a + 1)), a - direction * xs
+            if (new_phase := getattr(fill, "phase", 0)) != phase:
+                h += (new_phase - phase) * (1 - 2 * (xs % 2)) \
+                    * m.alternating_tail(alpha, 0.0, starts)
+            if (new := getattr(fill, "value", 0)) != value:
+                h += (new - value) * m.hurwitz_tail(alpha, 0.0, starts)
+            value, phase = new, new_phase
+    return h
+
+
+def test_one_tail_call_per_cut(monkeypatch):
+    # both sides of a ray read one vector per (tail, cut); the alternating
+    # tail's near part counts as Hurwitz calls too
+    calls = []
+    for name in ("hurwitz_tail", "alternating_tail"):
+        def spy(*args, _name=name, _tail=getattr(m, name)):
+            calls.append(_name)
+            return _tail(*args)
+        monkeypatch.setattr(m, name, spy)
+    chain = m.PowerLaw(1, 1.5)
+    for vol, spec, bc, want in [
+            (m.Volume(1, 3), chain, m.plus_bc(), (1, 0)),
+            (m.Volume(1, 3), chain, m.dobrushin1d_bc(), (1, 0)),
+            (m.Volume(1, 3), chain, m.alternating_bc(), (2, 1)),
+            (m.Volume(1, 3), chain, m.frozen_interval_bc(5, 9), (3, 0)),
+            (m.Volume(2, 2), m.AnisotropicAxes(1.5, 2.2), m.plus_bc(), (2, 0))]:
+        m.boundary_field_vector.cache_clear()
+        calls.clear()
+        m.boundary_field_vector(vol, spec, bc)
+        assert (calls.count("hurwitz_tail"), calls.count("alternating_tail")) == want, bc.name
+    monkeypatch.undo()
+    # the shared vector gives the per-side sums byte for byte, on chains whose
+    # starts straddle the crossover and the Boole cutoff
+    for vol in (m.Volume(1, 3), m.Volume(1, 70)):
+        for bc in (m.plus_bc(), m.alternating_bc(), m.dobrushin1d_bc(),
+                   m.left_neighborhood_bc(-1, 12, 3, -4)):
+            m.boundary_field_vector.cache_clear()
+            got = m.boundary_field_vector(vol, chain, bc)
+            assert np.array_equal(got, _per_side_ray(vol, bc, chain.alpha)), (vol, bc.name)
 
 
 def test_boundary_field_tail_crossover_doubling():

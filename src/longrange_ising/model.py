@@ -290,10 +290,17 @@ def _em_tail(alpha: float, m):
     """
     p = alpha / m
     total = 0.5 + p / 12.0
+    mm = m * m
     for k, b in ((1, -720.0), (3, 30240.0), (5, -1209600.0), (7, 47900160.0)):
-        p = p * (alpha + k) * (alpha + k + 1.0) / (m * m)
-        total = total + p / b
-    return m ** (1.0 - alpha) / (alpha - 1.0) + m ** (-alpha) * total
+        p *= alpha + k
+        p *= alpha + k + 1.0
+        p /= mm
+        total += p / b
+    out = m ** (1.0 - alpha)
+    out /= alpha - 1.0
+    total *= m ** (-alpha)
+    out += total
+    return out
 
 
 def hurwitz_tail(alpha: float, shift: float = 0.0, start=0,
@@ -897,8 +904,29 @@ def energy_delta(vol: Volume, params: ModelParams, bc: BoundaryCondition,
 
 def _half_table(J: np.ndarray, c: np.ndarray, beta: float, S: np.ndarray) -> tuple:
     """Spin rows as floats, with their log weights beta * (s.J.s / 2 + c.s)."""
-    Sf = S.astype(np.float64)
+    Sf = np.asarray(S, dtype=np.float64)
     return Sf, beta * (0.5 * np.einsum("ki,ki->k", Sf @ J, Sf) + Sf @ c)
+
+
+def _split_blocks(n: int) -> tuple:
+    """Site slices Y, X, W of SplitSums, and their row slices in _split_table(n)."""
+    sites = slice(0, (n + 1) // 3), slice((n + 1) // 3, n - n // 3), slice(n - n // 3, n)
+    kY, kX, kW = (1 << (b.stop - b.start) for b in sites)
+    return sites, (slice(0, kY), slice(kY, kY + kX), slice(kY + kX, kY + kX + kW))
+
+
+@byte_lru_cache(TILE_BYTES)
+def _split_table(n: int) -> np.ndarray:
+    """Read-only float spin table of SplitSums: the 2**k spin rows of each
+    block's k sites, stacked Y, X, W, each row zero off its block."""
+    sites, rows = _split_blocks(n)
+    # X is the largest block; 2**k rows and k columns of its table enumerate k sites
+    SX8 = np.concatenate([S for _, S in iter_spin_blocks(sites[1].stop - sites[1].start)])
+    S = np.zeros((rows[2].stop, n), dtype=np.float64)
+    for r, b in zip(rows, sites):
+        S[r, b] = SX8[:r.stop - r.start, :b.stop - b.start]
+    S.setflags(write=False)
+    return S
 
 
 class SplitSums:
@@ -912,8 +940,10 @@ class SplitSums:
     Y-X term and the Y and X weights in A, the X-W term and the W weight in
     B, the Y-W term in C.  (A @ B) * C, (A.T @ C) * B and (C @ B.T) * A weigh
     the (y, w), (x, w) and (y, x) pairs; log Z needs the first alone.  No exp
-    is taken per configuration; memory is a few 2**(2n/3)-entry matrices
-    (512 KiB each at n = 24) plus one fold tile.
+    is taken per configuration.  The stacked float spin table of the blocks
+    is one read-only table per size per process (_split_table), and each
+    weight matrix is built in place on its GEMM output, so memory is a few
+    2**(2n/3)-entry matrices (512 KiB each at n = 24) plus one fold tile.
 
     Rows are shifted by their maxima before exp, so each row of A @ B peaks
     at 1 and of (A @ B) * C at >= exp(-2 beta ||J_YW||_1), summing absolute
@@ -924,26 +954,28 @@ class SplitSums:
 
     def __init__(self, J: np.ndarray, c: np.ndarray, beta: float):
         n = c.size
-        Y, X, W = slice(0, (n + 1) // 3), slice((n + 1) // 3, n - n // 3), slice(n - n // 3, n)
-        # X is the largest block; 2**k rows and k columns of its table enumerate
-        # k sites.  S8 stacks the three tables, each row zero off its block.
-        SX8 = np.concatenate([S for _, S in iter_spin_blocks(X.stop - X.start)])
-        kY, kX, kW = (1 << (b.stop - b.start) for b in (Y, X, W))
-        rY, rX, rW = slice(0, kY), slice(kY, kY + kX), slice(kY + kX, kY + kX + kW)
-        S8 = np.zeros((rW.stop, n), dtype=np.int8)
-        for r, b in ((rY, Y), (rX, X), (rW, W)):
-            S8[r, b] = SX8[:r.stop - r.start, :b.stop - b.start]
-        S, lw = _half_table(J, c, beta, S8)
+        rY, rX, rW = _split_blocks(n)[1]
+        S, lw = _half_table(J, c, beta, _split_table(n))
         SJ = S @ (beta * J)
 
-        def shifted_exp(logM):
+        def shifted_exp(logM):     # exp of the rows less their maxima, in place; the maxima
             top = logM.max(axis=1)
-            return np.exp(logM - top[:, None]), top
+            logM -= top[:, None]
+            np.exp(logM, out=logM)
+            return top
 
-        B, b_shift = shifted_exp(SJ[rX] @ S[rW].T + lw[rW])
-        A, a_shift = shifted_exp(SJ[rY] @ S[rX].T + (lw[rX] + b_shift) + lw[rY, None])
-        C, c_shift = shifted_exp(SJ[rY] @ S[rW].T)
-        P_YW = (A @ B) * C
+        # each weight matrix is its own GEMM output, so it is written in place
+        B = SJ[rX] @ S[rW].T
+        B += lw[rW]
+        b_shift = shifted_exp(B)
+        A = SJ[rY] @ S[rX].T
+        A += lw[rX] + b_shift
+        A += lw[rY, None]
+        a_shift = shifted_exp(A)
+        C = SJ[rY] @ S[rW].T
+        c_shift = shifted_exp(C)
+        P_YW = A @ B
+        P_YW *= C
         top = float((a_shift + c_shift).max())
         f = np.exp(a_shift + c_shift - top)
         z = float(f @ P_YW.sum(axis=1))
@@ -957,7 +989,8 @@ class SplitSums:
 
     @cached_property
     def _x_marginal(self) -> tuple:    # (x, w) pair weights, table-row marginals
-        P_XW, P_YW = (self.A.T @ self.C) * self.B, self.P_YW
+        P_XW, P_YW = self.A.T @ self.C, self.P_YW
+        P_XW *= self.B
         return P_XW, np.concatenate([P_YW.sum(axis=1), P_XW.sum(axis=1), P_YW.sum(axis=0)])
 
     @cached_property
@@ -967,7 +1000,9 @@ class SplitSums:
     @cached_property
     def second(self) -> np.ndarray:    # <s_i s_j>
         (P_XW, p_rows), S, (rY, rX, rW) = self._x_marginal, self.S, self.blocks
-        cross = S[rY].T @ ((self.C @ self.B.T) * self.A) @ S[rX] \
+        P_YX = self.C @ self.B.T
+        P_YX *= self.A
+        cross = S[rY].T @ P_YX @ S[rX] \
             + S[rY].T @ self.P_YW @ S[rW] + S[rX].T @ P_XW @ S[rW]
         return (S.T * p_rows) @ S + (cross + cross.T)
 

@@ -180,6 +180,67 @@ def test_site_means_memory_bounded(n_free):
     assert peak < 64 << 20
 
 
+def test_split_table_is_one_read_only_table_per_size():
+    # every kernel of n sites reads one cached float table: the 2**k spin
+    # rows of each block's k sites, stacked Y, X, W, zero off the block
+    params, bc = m.ModelParams(0.9, m.PowerLaw(1.0, 1.5), field=0.1), m.plus_bc()
+
+    def kernel(L):
+        return m._reduce(m.Volume(1, L), params, bc).sums()
+
+    for L in (0, 1, 3, 8):
+        first, second = kernel(L), kernel(L)
+        S, n = first.S, 2 * L + 1
+        assert second.S is S and not S.flags.writeable
+        assert S.dtype == np.float64 and S.flags.c_contiguous
+        sizes = ((n + 1) // 3, n - (n + 1) // 3 - n // 3, n // 3)
+        want, row, col = np.zeros((sum(1 << k for k in sizes), n)), 0, 0
+        for k in sizes:
+            want[row:row + (1 << k), col:col + k] = spin_rows(k, 0, 1 << k)
+            row, col = row + (1 << k), col + k
+        assert np.array_equal(S, want)
+    # a table rebuilt after another size, and one read warm, give the same bytes
+    def moments(k):
+        return k.log_z, k.mean.tobytes(), k.second.tobytes()
+
+    warm = moments(kernel(8))
+    kernel(5)
+    m._split_table.cache_clear()
+    assert moments(kernel(8)) == warm == moments(kernel(8))
+
+
+def test_split_kernel_leaves_the_reduced_system_alone():
+    # the kernel's weight matrices are built in place; the reduced system's
+    # J_ff (shared by a sampler's replica set) and c_f must stay as they were
+    vol = m.Volume(1, 6)
+    sys_ = m._reduce(vol, m.ModelParams(1.2, m.PowerLaw(1.0, 1.5), field=0.2),
+                     m.dobrushin1d_bc(), {-6: 1, 2: -1})
+    J_ff, c_f = sys_.J_ff.copy(), sys_.c_f.copy()
+    kernel = sys_.sums()
+    kernel.mean, kernel.second
+    assert np.array_equal(sys_.J_ff, J_ff) and np.array_equal(sys_.c_f, c_f)
+
+
+def test_kernel_peak_at_the_site_cap():
+    # 24 free sites, table and fields warm: building the kernel and reading
+    # its site means peaked at 2882 KiB (tracemalloc) when every call rebuilt
+    # the spin table and each weight-matrix step allocated a temporary; with
+    # one cached table and in-place matrices the peak is 2574 KiB.  2.7 MiB
+    # lies between the two, so a temporary that comes back fails here.
+    vol = m.Volume(1, 12)
+    sys_ = m._reduce(vol, m.ModelParams(1.0, m.PowerLaw(1.0, 1.5)), m.plus_bc(),
+                     {vol.sites()[0]: 1})
+    assert sys_.free_idx.size == 24
+    sys_.sums().mean
+    tracemalloc.start()
+    try:
+        sys_.sums().mean
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.7 * (1 << 20), peak
+
+
 def test_conditional_pair_expectation_memory_bounded():
     # the wetting geometry at N = 2048, L = 4: 4105 sites, 18 of them free;
     # a pair moment reads one entry, never a matrix over the whole volume

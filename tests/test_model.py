@@ -205,6 +205,19 @@ def test_tail_entries_do_not_depend_on_the_batch(alpha):
             assert np.array_equal(tail(alpha, shift, starts[::-1]), batch[::-1])
 
 
+def test_tails_leave_their_arguments_alone():
+    # the Euler-Maclaurin tail updates its own series in place; a float start
+    # array and the bases it is handed must come back as they went in
+    starts = np.array([0.0, 3.0, 40.0, 63.0, 64.0, 500.0])
+    kept = starts.copy()
+    m.hurwitz_tail(1.6, 0.5, starts)
+    assert np.array_equal(starts, kept)
+    bases = np.array([64.0, 64.5, 100.0, 1e6])
+    kept = bases.copy()
+    m._em_tail(2.5, bases)
+    assert np.array_equal(bases, kept)
+
+
 # ---------------------------------------------------------------------------
 # boundary fields
 

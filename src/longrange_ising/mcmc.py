@@ -8,15 +8,16 @@ row of the system's read-only table 2 J_ff (`doubled`), built when a chain
 first reads it.  A sweep visits the free sites in index order, as a
 sequential single-site sweep does.  `run(state, n_sweeps, rule, record)`
 is the one loop that advances a chain: it draws the uniforms of many
-sweeps with one call and maps each to a threshold t, so that the site with
-spin s changes iff s*h < t.  On Philox, drawing a + b uniforms at once
-gives the same numbers as drawing a and then b, so batching leaves every
-stream as it is.  Uniforms, and the whole-volume configurations that
-`record` returns after each sweep, are taken in chunks of at most
-`_CHUNK_BYTES`.  Two inner scans apply the thresholds:
+sweeps with one call and maps each, in place, to a threshold t, so that
+the site with spin s changes iff s*h < t.  On Philox, drawing a + b
+uniforms at once gives the same numbers as drawing a and then b, so
+batching leaves every stream as it is.  Uniforms, and the whole-volume
+configurations that `record` returns after each sweep, are taken in
+chunks of at most `_CHUNK_BYTES`.  Two inner scans apply the thresholds:
 
 - the list scan tests s*h < t site by site on Python lists, free of
-  numpy's fixed cost per call;
+  numpy's fixed cost per call, and logs its flips, from which its
+  recorded rows are built by one cumulative parity per block;
 - the event scan crosses sweep boundaries.  Between two flips s*h does not
   change, so one comparison of it against a window of whole threshold rows,
   from the sweep of the current visit on, and one argmax find the next
@@ -146,21 +147,25 @@ def sampler_new(vol: model.Volume, params: model.ModelParams,
 
 
 def _thresholds(u: np.ndarray, beta: float, rule: str) -> np.ndarray:
-    """Map uniforms u in [0, 1) to thresholds t: a site with spin s and
-    local field h changes iff s*h < t, which happens with probability
-    min(1, exp(-2 beta s h)) (Metropolis) or 1/(1 + exp(2 beta s h))
-    (heat bath).  At beta = 0 Metropolis flips every site and heat bath
-    changes a site iff u < 1/2."""
+    """Map uniforms u in [0, 1) to thresholds t, in place if beta > 0: a
+    site with spin s and local field h changes iff s*h < t, which happens
+    with probability min(1, exp(-2 beta s h)) (Metropolis) or 1/(1 +
+    exp(2 beta s h)) (heat bath).  At beta = 0 Metropolis flips every site
+    and heat bath changes a site iff u < 1/2."""
     if beta == 0.0:
         if rule == "metropolis":
             return np.full(u.shape, np.inf)
         return np.where(u < 0.5, np.inf, -np.inf)
     # a uniform of exactly 0 (probability 2^-53) reads as the smallest
     # positive double, so the log stays finite without a warning filter
-    log_u = np.log(np.maximum(u, _SMALLEST))
     if rule == "metropolis":
-        return log_u * (-0.5 / beta)
-    return (np.log1p(-u) - log_u) * (0.5 / beta)
+        np.log(np.maximum(u, _SMALLEST, out=u), out=u)
+    else:
+        log_u = np.maximum(u, _SMALLEST)
+        np.log(log_u, out=log_u)
+        np.subtract(np.log1p(np.negative(u, out=u), out=u), log_u, out=u)
+    u *= (-0.5 if rule == "metropolis" else 0.5) / beta
+    return u
 
 
 def run(state: SamplerState, n_sweeps: int, rule: str = "metropolis",
@@ -206,28 +211,28 @@ def _list_scan(state: SamplerState, t: np.ndarray, rows, doubled: list) -> None:
     site by site; `doubled` is state.system.doubled as lists.  A flip does the
     event scan's float operations in its order, so every float comes out
     the same."""
-    free = state.free_index
-    spins = state.config[free].tolist()
-    h = state.fields.tolist()
-    energy, flips = state.energy, 0
-    seen = []
-    for tr in t.tolist():
+    free, m = state.free_index, t.shape[1]
+    start = state.config[free]
+    spins, h, energy = start.tolist(), state.fields.tolist(), state.energy
+    flipped = []                   # visit r*m + c of each flip
+    for r, tr in enumerate(t.tolist()):
         for c, tc in enumerate(tr):
             s = spins[c]
             if s * h[c] < tc:
                 energy += 2.0 * s * h[c]
                 h = list(map(operator.sub if s > 0 else operator.add, h, doubled[c]))
                 spins[c] = -s
-                flips += 1
-        if rows is not None:
-            seen.append(spins[:])
+                flipped.append(r * m + c)
     if rows is not None:           # the frozen columns, then the free ones
+        odd = np.zeros(t.shape, dtype=np.uint8)
+        odd.flat[flipped] = 1      # then the parity of each site's flips so far
+        np.bitwise_xor.accumulate(odd, axis=0, out=odd)
         rows[:] = state.config
-        rows[:, free] = seen
+        rows[:, free] = np.where(odd, -start, start)
     state.config[free] = spins
     state.fields[:] = h
     state.energy = energy
-    state.flips += flips
+    state.flips += len(flipped)
 
 
 def _event_scan(state: SamplerState, t: np.ndarray, rows) -> int:
@@ -305,7 +310,7 @@ class Estimate:
 def _integrated_tau(samples: np.ndarray) -> float:
     """Integrated autocorrelation via autocovariance with Sokal windowing."""
     n = samples.size
-    x = samples - samples.mean()
+    x = samples - np.add.reduce(samples) / n
     var = float(x @ x) / n
     if var == 0.0 or n < 8:
         return 0.5
@@ -319,15 +324,22 @@ def _integrated_tau(samples: np.ndarray) -> float:
 
 
 def _blocking_stderr(samples: np.ndarray, n_blocks: int = 32) -> float:
+    """Std error of n_blocks block means (below n_blocks samples, each sample
+    is a block), by the reductions numpy runs inside mean and std."""
     n = samples.size
     if n < n_blocks:
-        return float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    usable = (n // n_blocks) * n_blocks
-    blocks = samples[:usable].reshape(n_blocks, -1).mean(axis=1)
-    # np.allclose(blocks, blocks[0]) as one reduction
-    if np.abs(blocks - blocks[0]).max() <= 1e-8 + 1e-5 * abs(blocks[0]):
-        return 0.0
-    return float(blocks.std(ddof=1) / math.sqrt(n_blocks))
+        if n < 2:
+            return 0.0
+        blocks, n_blocks = samples, n
+    else:
+        blocks = np.add.reduce(samples[:n - n % n_blocks].reshape(n_blocks, -1), axis=1)
+        blocks /= n // n_blocks
+        # np.allclose(blocks, blocks[0]) as one reduction
+        if np.abs(blocks - blocks[0]).max() <= 1e-8 + 1e-5 * abs(blocks[0]):
+            return 0.0
+    d = blocks - np.add.reduce(blocks) / n_blocks
+    d *= d
+    return math.sqrt(np.add.reduce(d) / (n_blocks - 1)) / math.sqrt(n_blocks)
 
 
 def _chain(state: SamplerState, read, shape: tuple, n_sweeps: int,
@@ -353,7 +365,7 @@ def _chain(state: SamplerState, read, shape: tuple, n_sweeps: int,
 
 
 def _summary(samples: np.ndarray) -> Estimate:
-    return Estimate(float(samples.mean()), _blocking_stderr(samples),
+    return Estimate(float(np.add.reduce(samples) / samples.size), _blocking_stderr(samples),
                     _integrated_tau(samples), samples.size)
 
 

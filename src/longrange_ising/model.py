@@ -321,7 +321,10 @@ def hurwitz_tail(alpha: float, shift: float = 0.0, start=0,
         raise ValueError("summand base must stay positive")
     n = max(math.ceil(em_crossover - lo), 0)
     out = _em_tail(alpha, np.maximum(m, lo + n))
-    head = m < lo + n
+    # head entries are those whose integer offset rint(m - lo) is below n;
+    # m - lo lies within ulps of its offset, so the test sits half way (one
+    # against lo + n took an entry an ulp below it, past the head sums' end)
+    head = m < lo + (n - 0.5)
     if head.any():
         suffix = np.cumsum((lo + np.arange(n - 1, -1, -1.0)) ** (-alpha))[::-1]
         out[head] += suffix[np.rint(m[head] - lo).astype(np.int64)]

@@ -167,6 +167,54 @@ def test_blocking_stderr_zero_exactly_when_blocks_allclose():
     assert {np.allclose(b, b[0]) for b in cases} == {True, False}
 
 
+def _numpy_blocking_stderr(samples, n_blocks=32):
+    """The blocking error as numpy's mean and std methods give it."""
+    n = samples.size
+    if n < n_blocks:
+        return float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    blocks = samples[:n - n % n_blocks].reshape(n_blocks, -1).mean(axis=1)
+    if np.allclose(blocks, blocks[0]):
+        return 0.0
+    return float(blocks.std(ddof=1) / math.sqrt(n_blocks))
+
+
+def test_summaries_equal_numpy_mean_and_std_bit_for_bit():
+    # the summaries run numpy's own reductions without its method wrappers;
+    # the column of a wider array is how estimate_site_means reads a site
+    rng = np.random.default_rng(32)
+    cases = [np.full(n, v) for n in (1, 2, 31, 32, 500) for v in (0.0, 1.0, -0.37)]
+    for n in list(range(1, 70)) + [95, 127, 128, 1000, 1601, 4000]:
+        cases += [rng.normal(size=n) * 10.0 ** rng.uniform(-6, 3) + rng.uniform(-5, 5),
+                  np.cumsum(rng.normal(size=n)), rng.choice([-1.0, 1.0], size=n),
+                  rng.normal(size=(n, 3))[:, 1]]
+    for x in cases:
+        est = mcmc._summary(x)
+        assert est.mean == float(x.mean())
+        assert est.stderr == _numpy_blocking_stderr(x)
+        assert est.n_samples == x.size
+    assert {mcmc._blocking_stderr(x) == 0.0 for x in cases} == {True, False}
+
+
+def test_thresholds_equal_the_out_of_place_expression():
+    rng = np.random.default_rng(32)
+    for beta in [0.0, 1e-3, 0.5, 3.0, 1e3] + list(rng.uniform(0.01, 5.0, 5)):
+        for rule in ("metropolis", "heat_bath"):
+            u = rng.random(1000)
+            u[[0, 7]] = 0.0            # probability 2^-53 each, mapped finite
+            u[3] = np.nextafter(1.0, 0.0)
+            if beta == 0.0:
+                want = np.full(u.shape, np.inf) if rule == "metropolis" \
+                    else np.where(u < 0.5, np.inf, -np.inf)
+            else:
+                log_u = np.log(np.maximum(u, mcmc._SMALLEST))
+                want = log_u * (-0.5 / beta) if rule == "metropolis" \
+                    else (np.log1p(-u) - log_u) * (0.5 / beta)
+            t = mcmc._thresholds(u, beta, rule)
+            assert t.tobytes() == want.tobytes()
+            assert (t is u) == (beta > 0.0)     # mapped in place
+            assert np.isfinite(t).all() == (beta > 0.0)
+
+
 def test_beta_zero_mean_near_zero():
     vol = m.Volume(1, 3)
     params = m.ModelParams(0.0, m.PowerLaw(1.0, 1.5))
@@ -395,6 +443,66 @@ def test_sweep_matches_sequential_loop(setting, rule):
     assert fast.flips == ref.flips > 0
     if setting in ("beta0", "hot", "hot_wide"):
         assert fast.flips > 0.3 * 250 * fast.free_index.size
+
+
+#: KERNEL_SETTINGS and a chain that never flips: 7 sites under plus at
+#: beta 3, started plus (each site's flip probability is below e^-30)
+RECORD_SETTINGS = dict(KERNEL_SETTINGS, still=(
+    m.Volume(1, 3), m.ModelParams(3.0, m.PowerLaw(1.0, 1.5)), m.plus_bc(), None))
+
+
+@pytest.mark.parametrize("scan", ["chosen", "list"])
+@pytest.mark.parametrize("rule", ["metropolis", "heat_bath"])
+@pytest.mark.parametrize("setting", sorted(RECORD_SETTINGS))
+def test_recorded_rows_equal_single_sweeps(setting, rule, scan, monkeypatch):
+    # 300 sweeps: blocks of 128, 128 and 44.  "list" makes every block after
+    # the first run the list scan, which builds its rows from its flip log
+    vol, params, bc, frozen = RECORD_SETTINGS[setting]
+    if scan == "list":
+        monkeypatch.setattr(mcmc, "_LIST_SCAN_SITES", 1 << 30)
+        monkeypatch.setattr(mcmc, "_DENSE_FLIPS", -1.0)
+    st = mcmc.sampler_new(vol, params, bc, seed=32, frozen=frozen,
+                          initial="plus" if setting == "still" else "random")
+    twin = copy.deepcopy(st)
+    used = _record_scans(monkeypatch)
+    rows = mcmc.run(st, 300, rule, record=True)
+    if scan == "list":
+        assert used[-2:] == ["l128", "l44"], used
+    for row in rows:
+        mcmc.sweep(twin, rule)
+        assert np.array_equal(row, twin.config)
+    assert st.energy == twin.energy and np.array_equal(st.fields, twin.fields)
+    assert st.flips == twin.flips
+    m_free = st.free_index.size
+    if setting == "still":
+        assert st.flips == 0
+    elif setting == "beta0" and rule == "metropolis":
+        assert st.flips == 300 * m_free          # every site, every sweep
+    elif setting in ("beta0", "hot", "hot_wide"):
+        assert st.flips > 0.3 * 300 * m_free
+
+
+def test_cold_chunk_peak_holds_the_uniforms_once():
+    # one 453-sweep chunk of the 17x17 chain at beta 3 (289 sites): its
+    # uniforms take 1023 KiB and its recorded rows 128 KiB.  The thresholds
+    # are mapped into the uniforms' own buffer, so Metropolis peaks near
+    # 1.1 MiB; out-of-place mapping held three more chunk-sized arrays (about
+    # 3.1 MiB).  Heat bath keeps one more buffer, for log u (about 2.1 MiB).
+    import tracemalloc
+    vol = m.Volume(2, 8)
+    params = m.ModelParams(3.0, m.AnisotropicAxes(1.5, "nn"))
+    k = mcmc._chunk_sweeps(vol.n_sites)
+    assert k == 453
+    for rule, bound in (("metropolis", 1.5), ("heat_bath", 2.6)):
+        st = mcmc.sampler_new(vol, params, m.dobrushin2d_bc(0), seed=1)
+        mcmc.run(st, k, rule, record=True)        # warm: the flip table is built
+        tracemalloc.start()
+        try:
+            mcmc.run(st, k, rule, record=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * (1 << 20), (rule, peak)
 
 
 def _record_scans(monkeypatch) -> list:

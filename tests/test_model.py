@@ -205,6 +205,33 @@ def test_tail_entries_do_not_depend_on_the_batch(alpha):
             assert np.array_equal(tail(alpha, shift, starts[::-1]), batch[::-1])
 
 
+def test_tail_batches_on_any_shift_equal_their_one_start_calls():
+    # start 63 + 1 + shift rounds one ulp below the crossover base
+    # lo + n = 64.383..., so a float head test took it as head and indexed
+    # one past the head sums
+    alpha, shift = 5.510910337982246, 0.38298388979119735
+    np.testing.assert_allclose(m.hurwitz_tail(alpha, shift, np.array([29, 63])),
+                               [4.894714575940365e-08, 1.5910904527606364e-09],
+                               rtol=4e-15, atol=0)
+    # shifts the library passes (0 and halves) give each entry bit for bit;
+    # any other shift can move a batch's bases by an ulp
+    rng = np.random.default_rng(32)
+    for k in range(600):
+        alpha = float(rng.uniform(1.05, 9.5))
+        dyadic = k % 2 == 0
+        shift = float(rng.choice([0.0, 0.5, -0.5, 3.0])) if dyadic \
+            else float(rng.uniform(-0.99, 20.0))
+        starts = rng.integers(0, 300, size=int(rng.integers(1, 9)))
+        for tail in (m.hurwitz_tail, m.alternating_tail):
+            batch = tail(alpha, shift, starts)
+            one = [tail(alpha, shift, int(s)) for s in starts]
+            if dyadic:
+                assert batch.tolist() == one, (tail, alpha, shift, starts)
+            else:              # the alternating tail's two halves cancel digits
+                np.testing.assert_allclose(batch, one, atol=0,
+                                           rtol=4e-15 if tail is m.hurwitz_tail else 1e-13)
+
+
 def test_tails_leave_their_arguments_alone():
     # the Euler-Maclaurin tail updates its own series in place; a float start
     # array and the bases it is handed must come back as they went in

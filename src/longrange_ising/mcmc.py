@@ -11,9 +11,10 @@ is the one loop that advances a chain: it draws the uniforms of many
 sweeps with one call and maps each, in place, to a threshold t, so that
 the site with spin s changes iff s*h < t.  On Philox, drawing a + b
 uniforms at once gives the same numbers as drawing a and then b, so
-batching leaves every stream as it is.  Uniforms, and the whole-volume
-configurations that `record` returns after each sweep, are taken in
-chunks of at most `_CHUNK_BYTES`.  Two inner scans apply the thresholds:
+batching leaves every stream as it is.  Uniforms (a large chain's a block
+at a time, see below), and the whole-volume configurations that `record`
+returns after each sweep, are taken in chunks of at most `_CHUNK_BYTES`.
+Two inner scans apply the thresholds:
 
 - the list scan tests s*h < t site by site on Python lists, free of
   numpy's fixed cost per call, and logs its flips, from which its
@@ -26,14 +27,21 @@ chunks of at most `_CHUNK_BYTES`.  Two inner scans apply the thresholds:
   field (one doubled coupling row).  A flip costs one search and one field
   update, and a cold chain crosses many sweeps in one search.
 
-Chains of `_LIST_SCAN_SITES` free sites or more always run the event scan.
-Smaller ones are walked in blocks of `_BLOCK_SWEEPS` sweeps.  A block runs
-the list scan if the previous block (for the first block of a `run` call,
-the chain so far) flipped more than `_DENSE_FLIPS` of its site visits.
-Otherwise it starts on the event scan, which finishes the current sweep and
-hands the rest of the block to the list scan once the block's flips exceed
-`_DENSE_FLIPS` of its visits plus m.  Both scans flip in the same operation
-order and give the same floats, so the choice changes speed alone.
+A third, the budget scan, draws no uniforms: each free site holds an Exp(1)
+budget, each visit spends -log(1 - p) of it (p the flip probability), and
+the visit that overspends it flips the site, as in the n-fold way's waiting
+times (Bortz, Kalos and Lebowitz 1975); only a flip draws a number.
+
+A chain of fewer than `_LIST_SCAN_SITES` free sites walks each `run` call
+in blocks of `_BLOCK_SWEEPS` sweeps.  A block runs the list scan if the
+previous block (for the first block of a call, the chain so far) flipped
+more than `_DENSE_FLIPS` of its site visits.  Otherwise it starts on the
+event scan, which finishes the current sweep and hands the rest of the
+block to the list scan once the block's flips exceed `_DENSE_FLIPS` of its
+visits plus m.  Both scans give the same floats.  A larger chain walks
+blocks of half as many of its own sweeps, however `run` is called; the
+first, and each after one that flipped `_BUDGET_FLIPS` of its visits or
+more, runs the event scan, and the others the budget scan.
 `sweep` is run(state, 1, rule).  The RNG is counter-based (Philox) and
 seeded through SeedSequence, so replica streams are reproducible and
 adding replicas never perturbs existing ones.
@@ -58,10 +66,11 @@ import numpy as np
 
 from . import model
 
-_SMALLEST = np.nextafter(0.0, 1.0)
+_SMALLEST = float(np.nextafter(0.0, 1.0))
+_LARGEST = float(np.finfo(np.float64).max)
 
-#: Chains of fewer free sites choose their scan block by block; larger ones
-#: always run the event scan.
+#: Chains of fewer free sites choose between the list and the event scan;
+#: larger ones between the event and the budget scan.
 _LIST_SCAN_SITES = 64
 
 #: Sweeps per block, and the share of site visits past which a block hands
@@ -69,6 +78,10 @@ _LIST_SCAN_SITES = 64
 #: scan wins below about 3 % at 7-63 sites).
 _BLOCK_SWEEPS = 128
 _DENSE_FLIPS = 0.03
+
+#: Large chains walk blocks of half as many sweeps, each on the budget scan if
+#: the one before flipped fewer than this share of its visits (fit: 0.6e-3-1.3e-3).
+_BUDGET_FLIPS = 1e-3
 
 #: Thresholds that one window of the event scan compares at once.
 _EVENT_WINDOW = 1024
@@ -102,6 +115,9 @@ class SamplerState:
     sweeps: int = 0
     flips: int = 0
     max_drift: float = 0.0
+    block_flips: int = 0           # flips before the current block (large chains)
+    budgets: np.ndarray = None     # budget scan: each free site's Exp(1) budget, and
+    unspent: np.ndarray = None     # the sweep of its first visit not spent from it
 
     def total_energy(self) -> float:
         """Recomputed free-site form (oracle for the cached value)."""
@@ -179,19 +195,34 @@ def run(state: SamplerState, n_sweeps: int, rule: str = "metropolis",
     rows = np.empty((n_sweeps, n), dtype=np.int8) if record else None
     doubled = state.system.doubled.tolist() if m < _LIST_SCAN_SITES else None
     dense = doubled is not None and state.flips > _DENSE_FLIPS * state.sweeps * m
-    step = _chunk_sweeps(n)
-    for start in range(0, n_sweeps, step):
+    step, start = _chunk_sweeps(n), 0
+    while start < n_sweeps:
         k = min(step, n_sweeps - start)
-        t = _thresholds(state.rng.random(k * m), state.system.beta, rule).reshape(k, m)
-        for b in range(start, start + k, _BLOCK_SWEEPS):
-            tb = t[b - start:b - start + _BLOCK_SWEEPS]
-            out = None if rows is None else rows[b:b + len(tb)]
-            flips = state.flips
-            r = 0 if dense else _event_scan(state, tb, out)
-            if r < len(tb):
-                _list_scan(state, tb[r:], None if out is None else out[r:], doubled)
-            dense = doubled is not None and state.flips - flips > _DENSE_FLIPS * tb.size
-    state.sweeps += n_sweeps
+        at = state.sweeps % (_BLOCK_SWEEPS // 2)   # in a large chain's own block
+        if doubled is None and at == 0:
+            if not state.sweeps or state.flips - state.block_flips >= \
+                    _BUDGET_FLIPS * m * (_BLOCK_SWEEPS // 2):
+                state.budgets = None
+            elif state.budgets is None:
+                state.budgets = state.rng.standard_exponential(m)
+                state.unspent = np.full(m, float(state.sweeps))
+            state.block_flips = state.flips
+        k = min(k, _BLOCK_SWEEPS // 2 - at) if doubled is None else k
+        if state.budgets is not None:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                _event_scan(state, k, None if rows is None else rows[start:start + k], rule)
+        else:
+            t = _thresholds(state.rng.random(k * m), state.system.beta, rule).reshape(k, m)
+            for b in range(start, start + k, _BLOCK_SWEEPS):
+                tb = t[b - start:b - start + _BLOCK_SWEEPS]
+                out = None if rows is None else rows[b:b + len(tb)]
+                flips = state.flips
+                r = 0 if dense else _event_scan(state, tb, out)
+                if r < len(tb):
+                    _list_scan(state, tb[r:], None if out is None else out[r:], doubled)
+                dense = doubled is not None and state.flips - flips > _DENSE_FLIPS * tb.size
+        state.sweeps += k
+        start += k
     return rows
 
 
@@ -235,7 +266,7 @@ def _list_scan(state: SamplerState, t: np.ndarray, rows, doubled: list) -> None:
     state.flips += len(flipped)
 
 
-def _event_scan(state: SamplerState, t: np.ndarray, rows) -> int:
+def _event_scan(state: SamplerState, t, rows, rule: str = None) -> int:
     """Sweep once per row of thresholds t, from flip to flip, and return the
     number of rows swept.  Between two flips s*h does not change, so one
     comparison of it against a window of about `_EVENT_WINDOW` thresholds,
@@ -243,23 +274,52 @@ def _event_scan(state: SamplerState, t: np.ndarray, rows) -> int:
     sweeps ahead.  The sweeps before it are recorded by broadcast; the flip
     updates the energy and every cached field (one doubled coupling row).
     A chain of fewer than `_LIST_SCAN_SITES` free sites whose flips exceed
-    `_DENSE_FLIPS` of its visits plus m stops at the end of that sweep."""
+    `_DENSE_FLIPS` of its visits plus m stops at the end of that sweep.
+    With a `rule`, t is a number of sweeps, and on the budget scan a site
+    flips at the first visit v since the last flip with v > budget / spend;
+    a flip charges each site its visits and draws the flipped one anew."""
     free, cfg, fields, doubled = state.free_index, state.config, state.fields, state.system.doubled
-    m = t.shape[1]
+    m, n_rows = free.size, len(t) if rule is None else t
     spins = cfg[free].astype(np.float64)
     sh = spins * fields              # s*h, remade in place after each flip
     w = _EVENT_WINDOW // max(m, 1) + 1           # rows a window spans
     grace = m if m < _LIST_SCAN_SITES else math.inf
     energy, flips = state.energy, 0
     r = c = done = 0                 # next visit: sweep r, free position c
-    while m and r < len(t):          # m = 0: every site is frozen
-        hit = (sh < t[r:r + w]).reshape(-1)
-        f = int(hit[c:].argmax()) + c
-        if not hit[f]:
-            r, c = r + len(hit) // m, 0
-            continue
-        skip, c = divmod(f, m)
-        r += skip
+    if rule is not None:
+        budgets, unspent, first = state.budgets, state.unspent, state.sweeps
+        spend, flip, visits = np.empty(m), np.empty(m), np.empty(m)
+    while m and r < n_rows:          # m = 0: every site is frozen
+        if rule is None:
+            hit = (sh < t[r:r + w]).reshape(-1)
+            f = int(hit[c:].argmax()) + c
+            if not hit[f]:
+                r, c = r + len(hit) // m, 0
+                continue
+            skip, c = divmod(f, m)
+            r += skip
+        else:
+            # -log(1 - p) of y = -2 beta s h, the largest double for a sure flip
+            y = np.exp(np.multiply(sh, -2.0 * state.system.beta, out=spend), out=spend)
+            if rule == "metropolis":
+                np.negative(np.log1p(np.negative(y, out=y), out=y), out=y)
+            else:
+                np.log1p(y, out=y)
+            np.maximum(np.fmin(spend, _LARGEST, out=spend), _SMALLEST, out=spend)
+            np.floor(np.divide(budgets, spend, out=flip), out=flip)   # visits survived
+            flip += unspent          # the sweep of each site's flip, not before
+            np.maximum(flip, first, out=flip)            # this scan's first
+            c = int(flip.argmin())   # the earliest: on ties, the first site
+            if flip[c] >= first + n_rows:
+                break
+            np.subtract(flip[c], unspent, out=visits)    # each site's, up to
+            visits[:c] += 1          # the flip
+            unspent += visits
+            unspent[c] += 1
+            budgets -= np.multiply(visits, spend, out=visits)
+            np.maximum(budgets, 0.0, out=budgets)
+            budgets[c] = state.rng.standard_exponential()
+            r = int(flip[c]) - first
         if rows is not None:
             rows[done:r] = cfg
             done = r
@@ -274,13 +334,13 @@ def _event_scan(state: SamplerState, t: np.ndarray, rows) -> int:
         np.multiply(spins, fields, out=sh)
         flips += 1
         if flips > _DENSE_FLIPS * (r * m + c + 1) + grace:
-            t = t[:r + 1]            # dense: finish this sweep, then hand over
+            t, n_rows = t[:r + 1], r + 1     # dense: finish this sweep, hand over
         r, c = divmod(r * m + c + 1, m)
     if rows is not None:
-        rows[done:len(t)] = cfg
+        rows[done:n_rows] = cfg
     state.energy = energy
     state.flips += flips
-    return len(t)
+    return n_rows
 
 
 def flip_probability(state: SamplerState, site, rule: str = "metropolis") -> float:

@@ -1,8 +1,9 @@
 """Named invariant checks behind the `verify` subcommand.
 
-Each check returns (ok, detail).  The quick set takes about 50 ms of CPU
-time (0.4 s for the whole command, start-up included) on a 2-vCPU x86-64
-VM; the full set adds the slower enumeration sweeps.
+Each check returns (ok, detail).  The quick set takes about 35 ms of CPU
+time in a warm process (0.3-0.4 s for the whole command, start-up
+included) on a 2-vCPU x86-64 VM; the full set adds the slower enumeration
+sweeps.
 """
 
 from __future__ import annotations

@@ -430,7 +430,8 @@ KERNEL_SETTINGS = {
 
 @pytest.mark.parametrize("rule", ["metropolis", "heat_bath"])
 @pytest.mark.parametrize("setting", sorted(KERNEL_SETTINGS))
-def test_sweep_matches_sequential_loop(setting, rule):
+def test_sweep_matches_sequential_loop(setting, rule, monkeypatch):
+    monkeypatch.setattr(mcmc, "_BUDGET_FLIPS", 0.0)    # the uniforms' scans only
     vol, params, bc, frozen = KERNEL_SETTINGS[setting]
     fast, ref = (mcmc.sampler_new(vol, params, bc, seed=17, initial="random",
                                   frozen=frozen) for _ in range(2))
@@ -482,17 +483,20 @@ def test_recorded_rows_equal_single_sweeps(setting, rule, scan, monkeypatch):
         assert st.flips > 0.3 * 300 * m_free
 
 
-def test_cold_chunk_peak_holds_the_uniforms_once():
-    # one 453-sweep chunk of the 17x17 chain at beta 3 (289 sites): its
-    # uniforms take 1023 KiB and its recorded rows 128 KiB.  The thresholds
-    # are mapped into the uniforms' own buffer, so Metropolis peaks near
-    # 1.1 MiB; out-of-place mapping held three more chunk-sized arrays (about
-    # 3.1 MiB).  Heat bath keeps one more buffer, for log u (about 2.1 MiB).
+def test_cold_chunk_peak_holds_the_uniforms_once(monkeypatch):
+    # one 453-sweep chunk of the 17x17 chain at beta 3 (289 sites) on the
+    # uniforms: its recorded rows take 128 KiB, and its uniforms come a
+    # block of 64 sweeps at a time, 145 KiB (a whole chunk's took 1023 KiB).
+    # The thresholds are mapped into the uniforms' own buffer, so Metropolis
+    # peaks near 0.4 MiB (1.1 MiB with chunk-wide uniforms); out-of-place
+    # mapping held three more chunk-sized arrays (about 3.1 MiB).  Heat bath
+    # keeps one more buffer, for log u (about 0.55 MiB).
     import tracemalloc
     vol = m.Volume(2, 8)
     params = m.ModelParams(3.0, m.AnisotropicAxes(1.5, "nn"))
     k = mcmc._chunk_sweeps(vol.n_sites)
     assert k == 453
+    monkeypatch.setattr(mcmc, "_BUDGET_FLIPS", 0.0)    # the event scan throughout
     for rule, bound in (("metropolis", 1.5), ("heat_bath", 2.6)):
         st = mcmc.sampler_new(vol, params, m.dobrushin2d_bc(0), seed=1)
         mcmc.run(st, k, rule, record=True)        # warm: the flip table is built
@@ -506,13 +510,15 @@ def test_cold_chunk_peak_holds_the_uniforms_once():
 
 
 def _record_scans(monkeypatch) -> list:
-    """Wrap both scans so that each call appends "e" (event) or "l" (list)
-    and the number of threshold rows it was given, e.g. "e128"."""
+    """Wrap the scans so that each call appends "e" (event), "l" (list) or
+    "b" (budget: the event scan on a number of sweeps) and the number of
+    sweeps it was given, e.g. "e128"."""
     used = []
     for name in ("_list_scan", "_event_scan"):
         scan = getattr(mcmc, name)
-        monkeypatch.setattr(mcmc, name, lambda st, t, *rest, scan=scan, name=name:
-                            (used.append(f"{name[1]}{len(t)}"), scan(st, t, *rest))[1])
+        monkeypatch.setattr(mcmc, name, lambda st, t, *rest, scan=scan, name=name: (
+            used.append(f"b{t}" if isinstance(t, int) else f"{name[1]}{len(t)}"),
+            scan(st, t, *rest))[1])
     return used
 
 
@@ -528,9 +534,11 @@ def test_scan_is_picked_by_site_count_and_flip_density(monkeypatch):
         vol, params, bc, frozen = KERNEL_SETTINGS[setting]
         return mcmc.sampler_new(vol, params, bc, seed=1, initial="random", frozen=frozen)
 
-    # 81 sites: the event scan, hot or cold, and never a hand-over
-    assert scans(state("hot_wide"), 3) == scans(state("ordered2d_frozen"), 3) \
-        == "e128 e128 e128"
+    # 81 sites: blocks of 64 sweeps and never a hand-over to the list scan;
+    # hot, the event scan throughout, and cold, the budget scan once a block
+    # flips fewer than _BUDGET_FLIPS of its visits
+    assert scans(state("hot_wide"), 3) == "e64 e64 e64 e64 e64 e64"
+    assert scans(state("ordered2d_frozen"), 3) == "e64 e64 b64 b64 b64 b64"
     # a cold small chain runs the event scan from its first block on
     assert scans(state("ordered2d"), 4) == "e128 e128 e128 e128"
     # a hot one hands its first block over after two sweeps, mid-block, and
@@ -616,9 +624,10 @@ def test_cold_chain_matches_sequential_sweeps_across_windows(monkeypatch):
     assert set(used) == {"e128", "e56"} and st.flips > 100
 
 
-def test_wide_chain_matches_sequential_sweeps_when_windows_miss():
+def test_wide_chain_matches_sequential_sweeps_when_windows_miss(monkeypatch):
     # 81 free sites: windows of a few sweeps, fewer flips than windows, so
-    # some windows find no flip
+    # some windows find no flip; cold as it is, it stays on the event scan
+    monkeypatch.setattr(mcmc, "_BUDGET_FLIPS", 0.0)
     st = mcmc.sampler_new(m.Volume(1, 40), m.ModelParams(1.0, m.PowerLaw(1.0, 1.5)),
                           m.plus_bc(), seed=5, initial="plus")
     n_sweeps = 600
@@ -654,6 +663,211 @@ def test_chain_is_chunked_without_changing_samples(monkeypatch):
                                                                run(st, k, *a, **kw))[1])
     assert means() == whole
     assert max(lengths) == 64 and sum(lengths) == 700
+
+
+class _BudgetTwin:
+    """Per-visit twin of `run` on a chain of `_LIST_SCAN_SITES` free sites or
+    more.  Blocks of _BLOCK_SWEEPS // 2 sweeps, counted from the chain's first,
+    run on uniforms (`_sequential_sweep`) or, after a block that flipped
+    fewer than _BUDGET_FLIPS of its visits, on Exp(1) budgets B: a visit adds
+    one to its site's count v and flips the site iff v > B / spend, where
+    spend = -log(1 - p) for the flip probability p.  A flip charges every
+    site v * spend (leaving at least 0), draws the flipped site a new budget
+    and restarts every count."""
+
+    def __init__(self, state):
+        self.state, self.counts, self.budget_flips = state, None, 0
+
+    def spends(self, rule):
+        st = self.state
+        y = st.config[st.free_index] * (-2.0 * st.system.beta) * st.fields
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_stay = np.log1p(-np.exp(y)) if rule == "metropolis" else -np.log1p(np.exp(y))
+            spend = np.maximum(np.fmin(-log_stay, np.finfo(np.float64).max), np.nextafter(0.0, 1.0))
+            return spend, st.budgets / spend
+
+    def run(self, n_sweeps, rule):
+        st, block = self.state, mcmc._BLOCK_SWEEPS // 2
+        m = st.free_index.size
+        rows = []
+        for _ in range(n_sweeps):
+            if st.sweeps % block == 0:
+                if st.sweeps and st.flips - st.block_flips < mcmc._BUDGET_FLIPS * m * block:
+                    if st.budgets is None:
+                        st.budgets = st.rng.standard_exponential(m)
+                        self.counts = np.zeros(m, dtype=np.int64)
+                else:
+                    st.budgets = None
+                st.block_flips = st.flips
+            if st.budgets is None:
+                _sequential_sweep(st, st.rng.random(m), rule)
+            else:
+                spend, survive = self.spends(rule)
+                for k, i in enumerate(st.free_index):
+                    self.counts[k] += 1
+                    if self.counts[k] > survive[k]:
+                        st.budgets -= self.counts * spend
+                        np.maximum(st.budgets, 0.0, out=st.budgets)
+                        st.budgets[k] = st.rng.standard_exponential()
+                        self.counts[:] = 0
+                        s, h = st.config[i], st.fields[k]
+                        st.energy += 2.0 * s * h
+                        st.fields -= (2.0 * s) * st.system.J_ff[k]
+                        st.config[i] = -s
+                        st.flips += 1
+                        self.budget_flips += 1
+                        spend, survive = self.spends(rule)
+            st.sweeps += 1
+            rows.append(st.config.copy())
+        return np.array(rows)
+
+
+#: Chains of 81 and 289 free sites for the budget scan: cold ones that
+#: freeze after relaxing, one whose blocks switch scans both ways, and one
+#: forced onto the budget scan while hot (inf: every block after the first)
+BUDGET_SETTINGS = {
+    "ordered2d_frozen": KERNEL_SETTINGS["ordered2d_frozen"] + (None,),
+    "rigidity17": (m.Volume(2, 8), m.ModelParams(3.0, m.AnisotropicAxes(1.5, "nn")),
+                   m.dobrushin2d_bc(0), None, None),
+    "switching": (m.Volume(1, 40), m.ModelParams(0.75, m.PowerLaw(1.0, 1.5)), m.plus_bc(),
+                  None, None),
+    "forced": (m.Volume(1, 40), m.ModelParams(0.4, m.PowerLaw(1.0, 1.5)), m.free_bc(),
+               None, math.inf),
+}
+
+
+@pytest.mark.parametrize("rule", ["metropolis", "heat_bath"])
+@pytest.mark.parametrize("setting", sorted(BUDGET_SETTINGS))
+def test_budget_scan_matches_per_visit_budgets(setting, rule, monkeypatch):
+    # run calls that split blocks, a one-sweep call and a resync mid-block,
+    # after which one budget reads as spent on visits before the next call
+    vol, params, bc, frozen, share = BUDGET_SETTINGS[setting]
+    if share is not None:
+        monkeypatch.setattr(mcmc, "_BUDGET_FLIPS", share)
+    st = mcmc.sampler_new(vol, params, bc, seed=7, initial="random", frozen=frozen)
+    twin = _BudgetTwin(copy.deepcopy(st))
+    used = _record_scans(monkeypatch)
+    for k, n_sweeps in enumerate((100, 157, 1, 230, 152)):
+        rows = mcmc.run(st, n_sweeps, rule, record=True)
+        assert np.array_equal(rows, twin.run(n_sweeps, rule))
+        assert st.energy == twin.state.energy
+        assert np.array_equal(st.fields, twin.state.fields)
+        assert st.flips == twin.state.flips
+        assert (st.budgets is None) == (twin.state.budgets is None)
+        if st.budgets is not None:
+            assert np.array_equal(st.budgets, twin.state.budgets)
+        if k == 1:
+            st.resync()
+            twin.state.resync()
+            if st.budgets is not None:   # overspent since the last flip: it
+                st.budgets[3] = twin.state.budgets[3] = 0.0      # flips next visit
+    scans = "".join(u[0] for u in used)
+    assert "b" in scans
+    if setting in ("switching", "forced"):
+        assert twin.budget_flips > 10
+    if setting == "switching":       # back to the event scan after a budget block
+        assert "be" in scans.replace("bb", "b")
+
+
+def test_budget_scan_is_picked_per_block_of_the_chain(monkeypatch):
+    used = _record_scans(monkeypatch)
+    half = mcmc._BLOCK_SWEEPS // 2   # the blocks of chains of 64 free sites or more
+    # 17x17 at beta 3 from random: two blocks on the event scan (133 flips,
+    # then none), then the budget scan, which draws no number between flips
+    st = mcmc.sampler_new(m.Volume(2, 8), m.ModelParams(3.0, m.AnisotropicAxes(1.5, "nn")),
+                          m.dobrushin2d_bc(0), seed=1, initial="random")
+
+    def next_draws():
+        return copy.deepcopy(st.rng).random(4).tolist()
+
+    mcmc.run(st, 2 * half)
+    draws = next_draws()
+    mcmc.run(st, 4 * half)
+    assert " ".join(used) == "e64 e64 b64 b64 b64 b64"
+    assert next_draws() != draws     # the budgets, drawn once
+    draws = next_draws()
+    mcmc.run(st, 1000)
+    assert next_draws() == draws and st.flips == 133
+    # 81 sites near the switch (5.2 flips a block): both ways, block by
+    # block, and the blocks are the chain's own, however run splits them
+    st = mcmc.sampler_new(m.Volume(1, 40), m.ModelParams(0.75, m.PowerLaw(1.0, 1.5)),
+                          m.plus_bc(), seed=1, initial="plus")
+    used.clear()
+    mcmc.run(st, 12 * half)
+    assert " ".join(used) == "e64 b64 e64 e64 b64 b64 b64 b64 b64 e64 b64 b64"
+    used.clear()
+    mcmc.run(st, 50)
+    mcmc.run(st, 100)
+    assert " ".join(used) == "e50 e14 e64 e22"
+
+
+@pytest.mark.parametrize("rule", ["metropolis", "heat_bath"])
+def test_run_splits_leave_cold_large_chains_as_they_are(rule, monkeypatch):
+    # run(a + b) equals run(a); run(b), budgets and generator included, and
+    # smaller chunks in estimate_site_means move no sample
+    vol, params = m.Volume(2, 8), m.ModelParams(3.0, m.AnisotropicAxes(1.5, "nn"))
+    whole, split = (mcmc.sampler_new(vol, params, m.dobrushin2d_bc(0), seed=3, initial="random")
+                    for _ in range(2))
+    rows = mcmc.run(whole, 1000, rule, record=True)
+    parts = [mcmc.run(split, k, rule, record=True) for k in (1, 255, 130, 2, 612)]
+    assert np.array_equal(rows, np.concatenate(parts))
+    for name in ("config", "fields", "budgets"):
+        assert np.array_equal(getattr(whole, name), getattr(split, name))
+    assert np.array_equal(whole.unspent, split.unspent)
+    assert (whole.energy, whole.flips, whole.sweeps, whole.block_flips) == \
+        (split.energy, split.flips, split.sweeps, split.block_flips)
+    assert whole.rng.random() == split.rng.random()
+
+    def means():
+        st = mcmc.sampler_new(vol, params, m.dobrushin2d_bc(0), seed=4)
+        return mcmc.estimate_site_means(st, [(0, 8), (0, -8), (3, 1)], 2000, 200, rule)
+
+    whole = means()
+    monkeypatch.setattr(mcmc, "_CHUNK_BYTES", 100 * 8 * vol.n_sites)   # 100 sweeps a chunk
+    assert means() == whole
+
+
+@pytest.mark.parametrize("rule", ["metropolis", "heat_bath"])
+def test_budget_scan_agrees_with_the_oracle_on_criterion_5_settings(rule, monkeypatch):
+    # every chain on the budget scan from its second block of 64 sweeps on
+    from test_acceptance import MCMC_SETTINGS
+    monkeypatch.setattr(mcmc, "_LIST_SCAN_SITES", 0)
+    monkeypatch.setattr(mcmc, "_BUDGET_FLIPS", math.inf)
+    used = _record_scans(monkeypatch)
+    couplings = {"axes": m.AnisotropicAxes(1.5, "nn"), "mixed": m.IsotropicMixed(1.0, 3.2)}
+    for k, (dim, L, tag, beta, bc_name) in enumerate(MCMC_SETTINGS):
+        vol = m.Volume(dim, L)
+        params = m.ModelParams(beta, couplings.get(tag) or m.PowerLaw(1.0, tag))
+        bc = getattr(m, f"{bc_name}_bc")()
+        obs = ex.pair_observable(vol, *((0, 1) if dim == 1 else ((0, 0), (0, 1))))
+        truth = ex.expectation(vol, params, bc, obs)
+        st = mcmc.sampler_new(vol, params, bc, seed=2001 + 2 * k, initial="random")
+        used.clear()
+        est = mcmc.estimate(st, obs, 12_000, 1_000, rule=rule)
+        assert used[0] == "e64" and {u[0] for u in used[1:]} == {"b"}
+        assert abs(est.mean - truth) <= 4.0 * max(est.stderr, 2.5e-4), (k, est, truth)
+
+
+def test_cold_budget_chunk_holds_no_uniforms():
+    # the chunk of test_cold_chunk_peak_holds_the_uniforms_once on the budget
+    # scan: its 128 KiB of recorded rows and a few vectors of 289 doubles;
+    # the uniform path holds the chunk's 1023 KiB of uniforms besides
+    import tracemalloc
+    vol = m.Volume(2, 8)
+    params = m.ModelParams(3.0, m.AnisotropicAxes(1.5, "nn"))
+    k = mcmc._chunk_sweeps(vol.n_sites)
+    for rule in ("metropolis", "heat_bath"):
+        st = mcmc.sampler_new(vol, params, m.dobrushin2d_bc(0), seed=1)
+        mcmc.run(st, 3 * mcmc._BLOCK_SWEEPS, rule)     # relaxed, on the budget scan
+        assert st.budgets is not None
+        tracemalloc.start()
+        try:
+            mcmc.run(st, k, rule, record=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st.budgets is not None
+        assert peak < 0.5 * (1 << 20), (rule, peak)
 
 
 def _config_rows(state, width):

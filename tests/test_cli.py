@@ -367,6 +367,43 @@ def test_verify_quick_rows_pinned():
     assert verify.run_checks(quick=True) == QUICK_ROWS
 
 
+# the full table: the quick rows plus the three full-only rows, as printed at
+# commit 7c26671 (the mcmc-oracle detail is a sampler stream and moves with it)
+FULL_ROWS = (QUICK_ROWS[:5]
+             + [("removal-cost-bound", True, "min slack over exhaustive L=4 = 43.5039")]
+             + QUICK_ROWS[5:8]
+             + [("mcmc-oracle", True, "exact 0.99698 vs mcmc 0.99653 +- 0.00069")]
+             + QUICK_ROWS[8:]
+             + [("fkg-sandwich", True, "20 randomized increasing observables sandwiched")])
+
+
+def test_verify_full_rows_pinned():
+    assert verify.run_checks() == FULL_ROWS
+
+
+def test_run_checks_reads_the_registry_when_called(monkeypatch):
+    # the benchmark tracer swaps verify.CHECKS for span-wrapped triples:
+    # run_checks must read the module attribute at call time, call each fn
+    # with no arguments and honour in_quick
+    calls = []
+
+    def fake(name, ok):
+        def fn(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            if ok is None:
+                raise ValueError(name)
+            return ok, f"{name} detail"
+        return fn
+
+    monkeypatch.setattr(verify, "CHECKS", [
+        ("a", True, fake("a", 1)), ("b", False, fake("b", True)), ("c", True, fake("c", None))])
+    assert verify.run_checks(quick=True) == [("a", True, "a detail"),
+                                             ("c", False, "exception: ValueError('c')")]
+    assert calls == [("a", (), {}), ("c", (), {})]
+    assert verify.run_checks() == [("a", True, "a detail"), ("b", True, "b detail"),
+                                   ("c", False, "exception: ValueError('c')")]
+
+
 def test_cli_determinism_bytes(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({

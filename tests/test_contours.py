@@ -9,6 +9,10 @@ import pytest
 
 from longrange_ising import contours as ct
 from longrange_ising import model as m
+from longrange_ising import verify
+
+# each verify row by name, called at a test's own cases
+ROW = {name: fn for name, _, fn in verify.CHECKS}
 
 
 # ---------------------------------------------------------------------------
@@ -111,20 +115,9 @@ def test_distant_triangles_stay_separate():
 def test_bijection_exhaustive(bc_name):
     bc = {"plus": m.plus_bc(), "minus": m.minus_bc(),
           "dobrushin": m.dobrushin1d_bc()}[bc_name]
-    for L in (0, 1, 2, 3, 4, 5):
-        if bc_name == "dobrushin" and L == 0:
-            continue
-        vol = m.Volume(1, L)
-        seen = set()
-        for bits in itertools.product((-1, 1), repeat=vol.n_sites):
-            cfg = np.array(bits, dtype=np.int8)
-            fam = ct.triangles(vol, cfg, bc)
-            iface = ct.interface_point(vol, cfg, bc) if bc_name == "dobrushin" else None
-            rec = ct.reconstruct(vol, fam, bc, interface=iface)
-            assert np.array_equal(rec, cfg)
-            key = (iface, tuple((t.left, t.right, t.sign, t.children) for t in fam))
-            assert key not in seen
-            seen.add(key)
+    first = 1 if bc_name == "dobrushin" else 0
+    ok, detail = ROW["triangle-bijection"]([(L, bc) for L in range(first, 6)])
+    assert ok, detail
 
 
 # SHA-256 of the outputs below over every configuration with L <= 5 under
@@ -191,33 +184,6 @@ def test_grouping_close_pair_merges():
     assert grouped.contours[0].length == 4
 
 
-def test_grouping_random_families_invariant_and_order_free():
-    rng = np.random.default_rng(23)
-    for _ in range(100):
-        spans, cursor = [], 0
-        for _ in range(int(rng.integers(1, 6))):
-            length = int(rng.integers(1, 5))
-            gap = int(rng.integers(length + 1, 60))
-            start = cursor + gap
-            spans.append((start, start + length - 1))
-            cursor = start + length
-        try:
-            fam = _family_from_spans(spans)
-        except ValueError:
-            continue  # generator produced a family violating triangle separation
-        grouped = ct.group_contours(fam, C=1.0)
-        assert ct.contour_separation_ok(grouped, C=1.0)
-        assert sum(c.length for c in grouped) == sum(t.length for t in fam)
-        # merge-order independence: feed the triangles back in span order
-        refed = ct.ordered_family(list(fam.triangles)[::-1])
-        again = ct.group_contours(refed, C=1.0)
-        part = {tuple(sorted((t.left, t.right) for t in c.triangles))
-                for c in grouped.contours}
-        part2 = {tuple(sorted((t.left, t.right) for t in c.triangles))
-                 for c in again.contours}
-        assert part == part2
-
-
 def test_grouping_idempotent():
     fam = _family_from_spans([(0, 1), (7, 8), (100, 101)])
     g1 = ct.group_contours(fam, C=1.0)
@@ -257,19 +223,6 @@ def test_single_triangle_landau_bound():
                     oracle += m.coupling_value(spec, x, y)
         assert cost == pytest.approx(2.0 * oracle, rel=1e-10)
         assert cost >= kap * ell ** (2.0 - alpha)
-
-
-@pytest.mark.parametrize("alpha", [1.5, 1.8])
-def test_removal_bound_exhaustive_boosted(alpha):
-    # every family arising from a configuration, short-range bond boosted to
-    # J(1) = 10 (nn strength 9 plus the unit power-law value)
-    spec = m.IsotropicMixed(9.0, alpha)
-    vol = m.Volume(1, 5)
-    kap = ct.kappa(alpha)
-    for bits in itertools.product((-1, 1), repeat=vol.n_sites):
-        fam = ct.triangles(vol, np.array(bits, dtype=np.int8), m.plus_bc())
-        for k, t in enumerate(fam.triangles):
-            assert ct.removal_cost(vol, spec, fam, k) >= kap * t.length ** (2.0 - alpha)
 
 
 def test_kappa_values():
@@ -327,14 +280,6 @@ def test_quasi_additivity_rejects_overlap():
 # counting bound and droplet-cost fits
 
 
-def test_peierls_closed_form_vs_series():
-    for beta in (1.5, 2.0, 3.0):
-        x = 3.0 * math.exp(-2.0 * beta)
-        ls = np.arange(1, 10_001, dtype=np.float64)
-        series = float(np.sum(ls * x ** ls))
-        assert ct.peierls_entropy_bound(beta) == pytest.approx(series, abs=1e-10)
-
-
 def test_peierls_reference_value():
     assert ct.peierls_entropy_bound(2.0) == pytest.approx(0.061522, abs=1e-6)
 
@@ -348,12 +293,6 @@ def test_peierls_monotone_to_zero():
 def test_peierls_divergent_rejected():
     with pytest.raises(ValueError):
         ct.peierls_entropy_bound(math.log(3.0) / 2.0)
-
-
-@pytest.mark.parametrize("alpha,slope", [(1.5, 0.5), (1.2, 0.8)])
-def test_droplet_exponent(alpha, slope):
-    fit = ct.landau_exponent_fit(alpha, [8, 16, 32, 64, 128])
-    assert abs(fit - slope) <= 0.05
 
 
 def test_droplet_exponent_borderline():

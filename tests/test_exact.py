@@ -13,7 +13,11 @@ from longrange_ising import exact as ex
 from longrange_ising import mcmc
 from longrange_ising import model as m
 from longrange_ising import probes
+from longrange_ising import verify
 from longrange_ising.util import CapacityError, iter_spin_blocks, spin_rows
+
+# each verify row by name, called at a test's own cases
+ROW = {name: fn for name, _, fn in verify.CHECKS}
 
 
 def brute_log_partition(vol, params, bc, site_order=None):
@@ -389,13 +393,8 @@ def test_interface_grid_shape():
 
 
 def test_interface_symmetry_and_normalization():
-    vol = m.Volume(1, 5)
-    law = ex.interface_distribution(vol, m.ModelParams(2.0, m.PowerLaw(1.0, 1.5)))
-    d = law.as_dict()
-    assert sum(law.masses) == pytest.approx(1.0, abs=1e-12)
-    for t in law.grid:
-        assert d[t] == pytest.approx(d[-t], abs=1e-12)
-        assert d[t] > 0.0
+    ok, detail = ROW["interface-symmetry"]([(5, 2.0)])
+    assert ok, detail
 
 
 @pytest.mark.parametrize("L", range(1, 7))
@@ -451,19 +450,6 @@ def test_interface_beta_zero_counting():
         assert law.as_dict()[t] == pytest.approx(counts[t] / 2 ** vol.n_sites, abs=1e-12)
 
 
-def test_interface_central_dominance_shape():
-    # log law decreases away from the center, matching the sign of the
-    # droplet-volume profile (1+t)^(2-a) + (1-t)^(2-a)
-    vol = m.Volume(1, 6)
-    alpha = 1.5
-    law = ex.interface_distribution(vol, m.ModelParams(3.0, m.PowerLaw(1.0, alpha)))
-    d = law.as_dict()
-    near_zero = 0.5 * (d[0.5 / 6] + d[-0.5 / 6])
-    near_half = 0.5 * (d[2.5 / 6] + d[-2.5 / 6])
-    f = lambda t: (1 + t) ** (2 - alpha) + (1 - t) ** (2 - alpha)
-    assert (near_zero - near_half) * (f(0.0) - f(0.5)) > 0.0
-
-
 # ---------------------------------------------------------------------------
 # DLR, GKS, FKG, duplicate-system inequality
 
@@ -474,8 +460,8 @@ def test_dlr_small(beta, bc_name):
     bc = {"alternating": m.alternating_bc(), "plus": m.plus_bc(),
           "dobrushin": m.dobrushin1d_bc()}[bc_name]
     params = m.ModelParams(beta, m.PowerLaw(1.0, 1.5))
-    dev = ex.dlr_consistency_check(m.Volume(1, 3), m.Volume(1, 1), params, bc)
-    assert dev <= 1e-10
+    ok, detail = ROW["dlr-consistency"]([(m.Volume(1, 3), m.Volume(1, 1), params, bc)])
+    assert ok, detail
 
 
 def test_dlr_identical_volumes():
@@ -556,14 +542,16 @@ def test_fkg_randomized_battery():
     rng = np.random.default_rng(19)
     vol = m.Volume(1, 4)
     params = m.ModelParams(1.3, m.PowerLaw(1.0, 1.6))
+    cases = []
     for _ in range(100):
         w = rng.random(vol.n_sites)
         obs = (ex.increasing_observable(vol, w) if rng.random() < 0.5
                else ex.increasing_observable(vol, w, threshold=float(rng.normal())))
         pattern = {s: int(1 - 2 * rng.integers(0, 2))
                    for s in vol.sites() if rng.random() < 0.4}
-        bc = m.pattern_bc(pattern, m.alternating_bc())
-        assert ex.fkg_sandwich_check(vol, params, obs, bc)
+        cases.append((vol, params, obs, m.pattern_bc(pattern, m.alternating_bc())))
+    ok, detail = ROW["fkg-sandwich"](cases)
+    assert ok, detail
 
 
 def test_duplicate_inequality_beta_zero():

@@ -10,7 +10,11 @@ import pytest
 from longrange_ising import exact as ex
 from longrange_ising import mcmc
 from longrange_ising import model as m
+from longrange_ising import verify
 from longrange_ising.util import CapacityError
+
+# each verify row by name, called at a test's own cases
+ROW = {name: fn for name, _, fn in verify.CHECKS}
 
 
 def test_same_seed_bit_identical():
@@ -87,26 +91,8 @@ def test_beta_zero_metropolis_always_accepts():
 
 
 def test_detailed_balance_identity():
-    vol = m.Volume(1, 2)
-    params = m.ModelParams(0.9, m.PowerLaw(1.0, 1.5))
-    bc = m.alternating_bc()
-    rng = np.random.default_rng(11)
-    st = mcmc.sampler_new(vol, params, bc, seed=1)
-    for rule in ("metropolis", "heat_bath"):
-        for _ in range(60):
-            cfg = m.random_configuration(vol, rng)
-            site = int(rng.integers(-2, 3))
-            st.config = cfg.copy()
-            st.resync()
-            pi = m.specification_kernel(vol, params, bc, cfg)
-            fwd = mcmc.flip_probability(st, site, rule)
-            cfg2 = cfg.copy()
-            cfg2[vol.index(site)] *= -1
-            st.config = cfg2
-            st.resync()
-            pi2 = m.specification_kernel(vol, params, bc, cfg2)
-            bwd = mcmc.flip_probability(st, site, rule)
-            assert abs(pi * fwd - pi2 * bwd) < 1e-12
+    ok, detail = ROW["detailed-balance"]((("metropolis", 60), ("heat_bath", 60)))
+    assert ok, detail
 
 
 def test_energy_drift_after_sweeps():
@@ -228,12 +214,10 @@ def test_oracle_agreement(rule):
     # moderate beta keeps the chain fluctuating so the error bar is honest
     vol = m.Volume(1, 4)
     params = m.ModelParams(0.7, m.PowerLaw(1.0, 1.8))
-    obs = ex.spin_observable(vol, 0)
-    truth = ex.expectation(vol, params, m.plus_bc(), obs)
-    st = mcmc.sampler_new(vol, params, m.plus_bc(), seed=77, initial="random")
-    est = mcmc.estimate(st, obs, 30_000, 2_000, rule=rule)
-    assert 1e-4 < est.stderr < 0.01
-    assert abs(est.mean - truth) <= 4.0 * est.stderr
+    ok, detail = ROW["mcmc-oracle"]([(vol, params, m.plus_bc(), ex.spin_observable(vol, 0), 77,
+                                      (30_000, 2_000, rule), 1e-12)])
+    # the row's gate, and an honest error bar: "exact t vs mcmc mean +- stderr"
+    assert ok and float(detail.rsplit(" ", 1)[1]) > 1e-4, detail
 
 
 def test_frozen_sites_respected():
@@ -834,12 +818,8 @@ def test_budget_scan_agrees_with_the_oracle_on_criterion_5_settings(rule, monkey
     monkeypatch.setattr(mcmc, "_LIST_SCAN_SITES", 0)
     monkeypatch.setattr(mcmc, "_BUDGET_FLIPS", math.inf)
     used = _record_scans(monkeypatch)
-    couplings = {"axes": m.AnisotropicAxes(1.5, "nn"), "mixed": m.IsotropicMixed(1.0, 3.2)}
-    for k, (dim, L, tag, beta, bc_name) in enumerate(MCMC_SETTINGS):
-        vol = m.Volume(dim, L)
-        params = m.ModelParams(beta, couplings.get(tag) or m.PowerLaw(1.0, tag))
-        bc = getattr(m, f"{bc_name}_bc")()
-        obs = ex.pair_observable(vol, *((0, 1) if dim == 1 else ((0, 0), (0, 1))))
+    for k, (vol, params, bc) in enumerate(MCMC_SETTINGS):
+        obs = ex.pair_observable(vol, *((0, 1) if vol.dimension == 1 else ((0, 0), (0, 1))))
         truth = ex.expectation(vol, params, bc, obs)
         st = mcmc.sampler_new(vol, params, bc, seed=2001 + 2 * k, initial="random")
         used.clear()

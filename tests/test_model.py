@@ -1,7 +1,6 @@
 """Couplings, tail sums, boundary fields, Hamiltonians."""
 
 import functools
-import itertools
 import math
 import time
 
@@ -9,7 +8,11 @@ import numpy as np
 import pytest
 
 from longrange_ising import model as m
+from longrange_ising import verify
 from longrange_ising.util import CapacityError
+
+# each verify row by name, called at a test's own cases
+ROW = {name: fn for name, _, fn in verify.CHECKS}
 
 PI2_6 = math.pi ** 2 / 6.0
 
@@ -415,11 +418,8 @@ def test_boundary_field_tail_crossover_doubling():
              for bc in (m.plus_bc(), m.alternating_bc(), m.dobrushin1d_bc())]
     cases += [(m.Volume(2, 2), m.PowerLaw(1.0, 2.5), m.plus_bc()),
               (m.Volume(2, 2), m.IsotropicMixed(1.0, 3.0), m.dobrushin2d_bc(1))]
-    for vol, spec, bc in cases:
-        for x in vol.sites():
-            a = m.boundary_field(vol, spec, bc, x, em_crossover=m.EM_CROSSOVER)
-            b = m.boundary_field(vol, spec, bc, x, em_crossover=2 * m.EM_CROSSOVER)
-            assert abs(a - b) < 1e-10
+    ok, detail = ROW["tail-crossover-doubling"](cases)
+    assert ok, detail
 
 
 def test_boundary_field_2d_isotropic_brute():
@@ -851,17 +851,6 @@ def test_per_site_field_normalized_to_a_tuple():
                                                               field=table))
 
 
-def test_global_flip_symmetry_exhaustive():
-    vol = m.Volume(1, 2)
-    params = m.ModelParams(1.0, m.PowerLaw(1.0, 1.5))
-    for bc in (m.plus_bc(), m.dobrushin1d_bc(), m.alternating_bc()):
-        flipped = bc.flipped()
-        for bits in itertools.product((-1, 1), repeat=vol.n_sites):
-            cfg = np.array(bits, dtype=np.int8)
-            assert m.hamiltonian(vol, params, bc, cfg) == pytest.approx(
-                m.hamiltonian(vol, params, flipped, -cfg), abs=1e-11)
-
-
 def test_global_flip_symmetry_eleven_sites_vectorized():
     # flipping every spin maps configuration index i to its bit complement,
     # so the flipped-boundary energy array must be the reverse of the original
@@ -957,15 +946,9 @@ def test_kernel_infinite_temperature_uniform():
 
 
 def test_kernel_normalization_and_positivity():
-    vol = m.Volume(1, 2)
-    params = m.ModelParams(2.0, m.PowerLaw(1.0, 1.8))
-    total = 0.0
-    for bits in itertools.product((-1, 1), repeat=vol.n_sites):
-        p = m.specification_kernel(vol, params, m.dobrushin1d_bc(),
-                                   np.array(bits, dtype=np.int8))
-        assert p > 0.0
-        total += p
-    assert total == pytest.approx(1.0, abs=1e-12)
+    ok, detail = ROW["kernel-normalization"](
+        [(m.Volume(1, 2), m.ModelParams(2.0, m.PowerLaw(1.0, 1.8)), m.dobrushin1d_bc())])
+    assert ok, detail
 
 
 def test_kernel_one_site_closed_form():

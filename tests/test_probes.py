@@ -2,7 +2,6 @@
 energetics, duplicate-variable rigidity."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -11,6 +10,10 @@ from longrange_ising import exact as ex
 from longrange_ising import mcmc
 from longrange_ising import model as m
 from longrange_ising import probes
+from longrange_ising import verify
+
+# each verify row by name, called at a test's own cases
+ROW = {name: fn for name, _, fn in verify.CHECKS}
 
 
 # ---------------------------------------------------------------------------
@@ -23,9 +26,8 @@ def test_annulus_size_values():
 
 
 def test_annulus_defining_inequality():
-    for alpha, L in ((1.5, 16), (1.5, 4), (1.3, 8), (1.7, 12)):
-        N = probes.annulus_size(alpha, L)
-        assert L * N ** (1.0 - alpha) <= 1.0 + 1e-9
+    ok, detail = ROW["annulus-bound"](((1.5, 16), (1.5, 4), (1.3, 8), (1.7, 12)))
+    assert ok, detail
 
 
 def test_annulus_multiplier_pushes_product_down():
